@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .blockseq import BlockSequence, combine, nccb_from_blocking
+from .blockseq import BlockSequence, CombinationNorm, combine, nccb_from_blocking
 from .combinatorics import (
     Blocking,
     Coloring,
@@ -35,7 +35,14 @@ from .combinatorics import (
     milliken_taylor_search,
     ramsey_search,
 )
-from .spaces import LpSum, SparseVector, SpaceSpec, make_example_space, type_p_witness
+from .spaces import (
+    LpSum,
+    SparseVector,
+    SpaceSpec,
+    combination_norm,
+    make_example_space,
+    type_p_witness,
+)
 
 __all__ = [
     "ScalarNet",
@@ -90,6 +97,8 @@ class ScalarNet:
     def grid(cls, step: float = 0.25, max_len: int = 4) -> "ScalarNet":
         if step <= 0 or step > 2:
             raise ValueError(f"net step {step} out of range")
+        if max_len < 1:
+            raise ValueError(f"net max_len {max_len} must be >= 1: the net would be empty")
         k = round(1.0 / step)
         if abs(k * step - 1.0) > 1e-9:
             raise ValueError(f"net step {step} must divide 1")
@@ -188,27 +197,38 @@ class GoodnessReport:
         return rows
 
 
+def _sign_free(coeffs: Sequence[float]) -> tuple[float, ...]:
+    return tuple(map(abs, coeffs))
+
+
 def _record_for_tuple(
-    spec: SpaceSpec,
-    seq: Sequence[SparseVector],
+    norm_of: CombinationNorm,
     coeffs: Sequence[float],
     K: int,
     H: int,
+    memo: dict,
 ) -> GoodnessRecord:
+    """Window record for one tuple; ``memo`` shares the scan between tuples
+    with equal values, and between sign patterns when ``norm_of`` is
+    unconditional.  The record itself always carries ``coeffs``."""
     n = len(coeffs)
-    feasible = K >= 1 and K + H <= len(seq) and n <= H + 1
+    feasible = K >= 1 and K + H <= len(norm_of.seq) and n <= H + 1
     if not feasible:
         return GoodnessRecord(tuple(coeffs), K, H, False, None, None, None, None, 0)
-    sup = -math.inf
-    inf = math.inf
-    count = 0
-    for ks in _window_tuples(K, H, n):
-        value = spec.norm(combine(seq, coeffs, ks))
-        count += 1
-        if value > sup:
-            sup = value
-        if value < inf:
-            inf = value
+    key = (_sign_free(coeffs) if norm_of.unconditional else tuple(coeffs), K, H)
+    if key not in memo:
+        sup = -math.inf
+        inf = math.inf
+        count = 0
+        for ks in _window_tuples(K, H, n):
+            value = norm_of(coeffs, ks)
+            count += 1
+            if value > sup:
+                sup = value
+            if value < inf:
+                inf = value
+        memo[key] = (sup, inf, count)
+    sup, inf, count = memo[key]
     return GoodnessRecord(
         tuple(coeffs), K, H, True, sup, inf, sup - inf, (sup + inf) / 2.0, count
     )
@@ -232,7 +252,9 @@ def goodness_test(
     seq = list(seq)
     if H is None:
         H = 3 * net.max_len
-    records = tuple(_record_for_tuple(spec, seq, t, K, H) for t in net.tuples)
+    norm_of = CombinationNorm(spec, seq)
+    memo: dict = {}
+    records = tuple(_record_for_tuple(norm_of, t, K, H, memo) for t in net.tuples)
     diagnostics = []
     if any(not r.feasible for r in records):
         verdict = VERDICT_INCONCLUSIVE
@@ -326,10 +348,12 @@ def spreading_model_estimate(
         H = 3 * net.max_len
     if not horizons:
         raise ValueError("need at least one horizon")
+    norm_of = CombinationNorm(spec, seq)
+    memo: dict = {}
     records = []
     for K in sorted(horizons):
         for t in net.tuples:
-            r = _record_for_tuple(spec, seq, t, K, H)
+            r = _record_for_tuple(norm_of, t, K, H, memo)
             records.append(
                 SpreadingRecord(r.coeffs, K, H, r.feasible, r.estimate, r.oscillation)
             )
@@ -480,17 +504,25 @@ def equivalence_constant(
     if not tuples:
         raise ValueError(f"net contains no tuples of length {n}")
     positions = tuple(range(1, n + 1))
+    norm_of = CombinationNorm(spec, head)
+    # Both norms ignore coefficient signs when the sequence side is
+    # unconditional and the reference is l_p, so a ratio is shared by all
+    # sign patterns of a tuple; the scan still visits every tuple in order.
+    sign_free = norm_of.unconditional and isinstance(reference, LpReference)
+    ratios: dict[tuple[float, ...], float | None] = {}
 
     best_upper = -math.inf
     best_lower = -math.inf
     arg_upper: tuple[float, ...] = tuples[0]
     arg_lower: tuple[float, ...] = tuples[0]
     for t in tuples:
-        r_norm = reference.coeff_norm(t)
-        if r_norm <= 0.0:
+        key = _sign_free(t) if sign_free else t
+        if key not in ratios:
+            r_norm = reference.coeff_norm(t)
+            ratios[key] = norm_of(t, positions) / r_norm if r_norm > 0.0 else None
+        ratio = ratios[key]
+        if ratio is None:
             continue
-        s_norm = spec.norm(combine(head, t, positions))
-        ratio = s_norm / r_norm
         if ratio > best_upper:
             best_upper = ratio
             arg_upper = t
@@ -594,6 +626,7 @@ def brunel_sucheston_extract(
             return float(eps_schedule(m))
         return float(eps_schedule[m - 1])
 
+    norm_of = CombinationNorm(spec, vectors)
     selections: list[tuple[int, ...]] = []
     current = tuple(range(1, len(vectors) + 1))
     steps = []
@@ -609,8 +642,7 @@ def brunel_sucheston_extract(
             ground = current
 
             def quantized(subset: FiniteSet) -> int:
-                chosen = [vectors[ground[pos - 1] - 1] for pos in subset.elements]
-                value = spec.norm(combine(chosen, coeffs, range(1, n + 1)))
+                value = norm_of(coeffs, [ground[pos - 1] for pos in subset.elements])
                 return int(math.floor(round(value, 12) / eps))
 
             coloring = Coloring(
@@ -676,27 +708,29 @@ def norm_quantization_coloring(
     f(E_1, ..., E_n) = floor( ||sum_i a_i y_{E_i}|| / quantum ) where each
     y_E is the normalized indicator of E.  Values in [0, n] land in finitely
     many cells; a monochromatic family has oscillation below ``quantum``.
+    ``cache`` maps a block's elements to ``spec.coordinates(y_E)`` and may be
+    shared by colorings of the same space.
     """
     if quantum <= 0:
         raise ValueError("quantum must be positive")
     coeffs = tuple(float(c) for c in coeffs)
-    vector_cache: dict[tuple[int, ...], SparseVector] = cache if cache is not None else {}
+    coords_cache: dict[tuple[int, ...], list] = cache if cache is not None else {}
 
-    def nccb_vector(block: FiniteSet) -> SparseVector:
+    def nccb_coordinates(block: FiniteSet) -> list:
         key = block.elements
-        if key not in vector_cache:
+        if key not in coords_cache:
             indicator = SparseVector.indicator(key)
-            vector_cache[key] = indicator.scale(1.0 / spec.norm(indicator))
-        return vector_cache[key]
+            coords_cache[key] = spec.coordinates(indicator.scale(1.0 / spec.norm(indicator)))
+        return coords_cache[key]
 
     def fn(blocks: tuple[FiniteSet, ...]) -> int:
-        total = SparseVector()
-        for a, block in zip(coeffs, blocks):
-            if a != 0.0:
-                total = total + nccb_vector(block).scale(a)
+        # The blocks of a blocking are successively increasing.  As in
+        # combine, a block under a zero coefficient is never normalized.
+        parts = [nccb_coordinates(b) if a != 0.0 else () for a, b in zip(coeffs, blocks)]
+        value = combination_norm(spec, coeffs, parts)
         # snap to 12 decimals first so values that are equal up to float
         # noise (different summation orders, block sizes) share a cell
-        return int(math.floor(round(spec.norm(total), 12) / quantum))
+        return int(math.floor(round(value, 12) / quantum))
 
     return Coloring(
         kind="blocking",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .combinatorics import Blocking, FiniteSet, InvalidBlockingError
-from .spaces import SparseVector, SpaceSpec
+from .spaces import InvalidVectorError, SparseVector, SpaceSpec, combination_norm
 
 __all__ = [
     "BlockSequence",
@@ -29,6 +29,7 @@ __all__ = [
     "nccb_of_sequence",
     "merge_blocking",
     "combine",
+    "CombinationNorm",
     "subsequence_tree",
     "tree_from_array",
     "interleave_array",
@@ -211,6 +212,53 @@ def combine(seq: Sequence[SparseVector], coeffs: Sequence[float], positions: Seq
         if a != 0.0:
             total = total + seq[k - 1].scale(a)
     return total
+
+
+class CombinationNorm:
+    """The norms ``spec.norm(combine(seq, coeffs, positions))`` over one vector list.
+
+    When the supports of ``seq`` are successively increasing (always so for
+    a ``BlockSequence``; checked once here for a plain list), each vector's
+    coordinates are computed once and every call goes through
+    ``combination_norm``: the same float operations, no SparseVector built.
+    Otherwise, or when a vector does not fit the space, every call takes the
+    ``combine`` path and so overlaps, and errors, behave exactly as there.
+
+    Calls expect what callers of ``combine`` guarantee: as many coefficients
+    as positions, positions strictly increasing inside 1..len(seq).
+    ``unconditional`` tells whether flipping coefficient signs leaves every
+    value unchanged, which holds for successive supports in an
+    unconditional space.
+    """
+
+    def __init__(self, spec: SpaceSpec, seq: Sequence[SparseVector]):
+        self.spec = spec
+        self.seq = seq
+        self.parts = None
+        if _successive(seq):
+            try:
+                self.parts = [spec.coordinates(v) for v in seq]
+            except InvalidVectorError:
+                pass  # the combine path raises it where a combination meets it
+        self.unconditional = self.parts is not None and spec.unconditional
+
+    def __call__(self, coeffs: Sequence[float], positions: Sequence[int]) -> float:
+        parts = self.parts
+        if parts is None:
+            return self.spec.norm(combine(self.seq, coeffs, positions))
+        return combination_norm(self.spec, coeffs, [parts[k - 1] for k in positions])
+
+
+def _successive(seq: Sequence[SparseVector]) -> bool:
+    if isinstance(seq, BlockSequence):
+        return True
+    last = 0
+    for v in seq:
+        if not v.is_zero():
+            if v.min_index() <= last:
+                return False
+            last = v.max_index()
+    return True
 
 
 # ---------------------------------------------------------------------------

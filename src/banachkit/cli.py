@@ -140,7 +140,7 @@ def _emit(args, command: str, config: dict, result: dict, rows: list[list] | Non
         "result": result,
     }
     if args.format == "json":
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, allow_nan=True))
+        sys.stdout.write(json.dumps(envelope, sort_keys=True, allow_nan=False))
         sys.stdout.write("\n")
     else:
         sys.stdout.write(f"# banachkit {__version__} {command}\n")

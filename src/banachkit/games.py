@@ -321,10 +321,14 @@ def _max_constant(
     n: int,
     pool: Sequence[BlockSequence],
     net: ScalarNet,
+    scans: dict[BlockSequence, EquivalenceReport],
 ) -> tuple[float, BlockSequence, EquivalenceReport]:
+    """Worst tuple of ``pool``; ``scans`` keeps each tuple's scan for reuse."""
     best = None
     for seq in pool:
-        report = equivalence_constant(spec, seq, LpReference(p, n), net=net)
+        if seq not in scans:
+            scans[seq] = equivalence_constant(spec, seq, LpReference(p, n), net=net)
+        report = scans[seq]
         if best is None or report.constant > best[0]:
             best = (report.constant, seq, report)
     return best
@@ -350,7 +354,7 @@ def stabilized_constant(
     if net is None:
         net = ScalarNet.grid(step=0.25, max_len=n)
     pool = _tuple_pool(spec, n, N, N + window, seed, samples)
-    constant, certificate, report = _max_constant(spec, p, n, pool, net)
+    constant, certificate, report = _max_constant(spec, p, n, pool, net, {})
     return AsymptoticReport(
         n=n, N=N, constant=constant, certificate=certificate, certificate_report=report,
         window=window, seed=seed, samples=samples, pool_size=len(pool), net=net,
@@ -415,12 +419,13 @@ def asymptotic_lp_verdict(
         net = ScalarNet.grid(step=0.25, max_len=n)
     lo, hi = schedule[0], schedule[-1] + window
     pool = _tuple_pool(spec, n, lo, hi, seed, samples)
+    scans: dict[BlockSequence, EquivalenceReport] = {}  # shared by all cutoffs
     rows = []
     for N in schedule:
         eligible = [seq for seq in pool if seq[0].min_index() >= N]
         if not eligible:
             raise ValueError(f"no sampled tuples supported past N={N}")
-        constant, certificate, report = _max_constant(spec, p, n, eligible, net)
+        constant, certificate, report = _max_constant(spec, p, n, eligible, net, scans)
         rows.append(
             AsymptoticReport(
                 n=n, N=N, constant=constant, certificate=certificate,

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "SparseVector",
@@ -33,6 +33,7 @@ __all__ = [
     "James",
     "SegmentIndex",
     "norm",
+    "combination_norm",
     "segment_of",
     "make_example_space",
     "type_p_witness",
@@ -48,6 +49,11 @@ class InvalidSpecError(ValueError):
 
 class InvalidVectorError(ValueError):
     """A vector is malformed or incompatible with the given space."""
+
+
+def _reject_coefficient(coeff: float) -> bool:
+    """Raise for a NaN or infinite coefficient; typed ``bool`` to sit in a filter."""
+    raise InvalidVectorError(f"coefficient {coeff!r} is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +72,19 @@ class SparseVector:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[int, float] | Iterable[tuple[int, float]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        items = entries.items() if isinstance(entries, (dict, Mapping)) else entries
         data: dict[int, float] = {}
         for index, coeff in items:
             if not isinstance(index, int) or index < 1:
                 raise InvalidVectorError(f"index {index!r} is not a positive integer")
             coeff = float(coeff)
             if coeff != 0.0:
-                data[index] = data.get(index, 0.0) + coeff
-                if data[index] == 0.0:
+                total = data.get(index, 0.0) + coeff
+                if not -INF < total < INF:
+                    _reject_coefficient(total)
+                if total != 0.0:
+                    data[index] = total
+                else:
                     del data[index]
         self._entries = {i: data[i] for i in sorted(data)}
 
@@ -184,45 +194,76 @@ def _check_exponent(p: float) -> float:
     return p
 
 
+# Coordinates: every kind measures a vector through one formula,
+# ``coordinate_norm``, applied to its nonzero coordinates as (key, value)
+# pairs.  The key is whatever the formula needs besides the value (the index,
+# or an LpSum segment); ``coordinates(v)`` computes the keys once.  For
+# vectors with successively increasing supports, the concatenated coordinates
+# are those of their sum, so a combination can be measured from its parts
+# without building it (``combination_norm``).
+
+
+class _Space:
+    """The norm and coordinate protocol shared by the five space kinds."""
+
+    # Sign flips of the coordinates never change the norm.
+    unconditional = True
+
+    def coordinates(self, v: SparseVector) -> list[tuple[object, float]]:
+        """Nonzero coordinates of ``v``, keyed for ``coordinate_norm``, in index order.
+
+        A list, not a tuple: short-lived tuples of many lengths would fill
+        the interpreter's per-length tuple free lists and hold on to memory.
+        """
+        return list(v._entries.items())
+
+    def coordinate_norm(self, coords) -> float:
+        """The norm of the vector whose nonzero coordinates are ``coords``."""
+        raise NotImplementedError
+
+    def norm(self, v: SparseVector) -> float:
+        # the entries view is these coordinates without the copy
+        return self.coordinate_norm(v._entries.items())
+
+
 @dataclass(frozen=True)
-class Lp:
+class Lp(_Space):
     p: float
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent(self.p))
 
-    def norm(self, v: SparseVector) -> float:
-        if v.is_zero():
+    def coordinate_norm(self, coords) -> float:
+        if not coords:
             return 0.0
-        coeffs = v._entries.values()
         if self.p == INF:
-            return max(abs(c) for c in coeffs)
+            return max(abs(c) for _, c in coords)
         if self.p == 1.0:
-            return sum(abs(c) for c in coeffs)
+            return sum(abs(c) for _, c in coords)
         # factor out the largest magnitude so powers of tiny or huge
         # coefficients cannot underflow or overflow
-        scale = max(abs(c) for c in coeffs)
+        scale = max(abs(c) for _, c in coords)
         if self.p == 2.0:
-            return scale * math.sqrt(sum((c / scale) ** 2 for c in coeffs))
-        return scale * sum(abs(c / scale) ** self.p for c in coeffs) ** (1.0 / self.p)
+            return scale * math.sqrt(sum((c / scale) ** 2 for _, c in coords))
+        return scale * sum(abs(c / scale) ** self.p for _, c in coords) ** (1.0 / self.p)
 
     def to_doc(self) -> dict:
         return {"kind": "lp", "p": "inf" if self.p == INF else self.p}
 
 
 @dataclass(frozen=True)
-class C0:
-    def norm(self, v: SparseVector) -> float:
-        if v.is_zero():
+class C0(_Space):
+    def coordinate_norm(self, coords) -> float:
+        if not coords:
             return 0.0
-        return max(abs(c) for c in v._entries.values())
+        return max(abs(c) for _, c in coords)
 
     def to_doc(self) -> dict:
         return {"kind": "c0"}
 
 
 @dataclass(frozen=True)
-class LpSum:
+class LpSum(_Space):
     """l_p sum of the finite dimensional spaces l_{p_s}^{n_s}.
 
     Segment ``s`` (1-based) occupies the consecutive index range
@@ -232,7 +273,8 @@ class LpSum:
         ( sum_s ( sum_{l in segment s} |b_l|^{p_s} )^{p/p_s} )^{1/p}.
 
     The inner exponents may equal ``p`` (the degenerate case collapses to
-    plain l_p), but may not exceed it.
+    plain l_p), but may not exceed it.  A coordinate's key is its 0-based
+    segment number.
     """
 
     p: float
@@ -284,32 +326,45 @@ class LpSum:
         lo = (self._cumulative[s - 2] if s >= 2 else 0) + 1
         return lo, self._cumulative[s - 1]
 
+    def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
+        if not v.is_zero() and v.max_index() > self.total_dim:
+            # segment_of raises for the first index past the segments
+            self.segment_of(next(i for i in v._entries if i > self.total_dim))
+        cumulative = self._cumulative
+        return [(bisect_left(cumulative, i), c) for i, c in v._entries.items()]
+
     def norm(self, v: SparseVector) -> float:
-        if v.is_zero():
+        return self.coordinate_norm(self.coordinates(v))
+
+    def coordinate_norm(self, coords) -> float:
+        if not coords:
             return 0.0
-        scale = max(abs(c) for c in v._entries.values())
+        p, ps = self.p, self.ps
+        scale = max(abs(c) for _, c in coords)
         inner: dict[int, float] = {}
-        for index, coeff in v._entries.items():
-            s = self.segment_of(index).s
-            inner[s] = inner.get(s, 0.0) + abs(coeff / scale) ** self.ps[s - 1]
+        for s, coeff in coords:
+            inner[s] = inner.get(s, 0.0) + abs(coeff / scale) ** ps[s]
         total = 0.0
         for s, mass in inner.items():
-            total += mass ** (self.p / self.ps[s - 1])
-        return scale * total ** (1.0 / self.p)
+            total += mass ** (p / ps[s])
+        return scale * total ** (1.0 / p)
 
     def to_doc(self) -> dict:
         return {"kind": "lp_sum", "p": self.p, "ps": list(self.ps), "ns": list(self.ns)}
 
 
 @dataclass(frozen=True)
-class Interleave:
+class Interleave(_Space):
     """Two spaces carried on the odd and even indices respectively.
 
     The odd coordinates 1, 3, 5, ... are reindexed densely as 1, 2, 3, ...
     and measured in ``a``; likewise the even coordinates in ``b``.  The two
     inner norms are combined with ``max`` or ``sum``.  Not part of any of the
     concrete constructions above; this is the minimal carrier for block
-    sequences whose combination norms oscillate by parity.
+    sequences whose combination norms oscillate by parity.  A coordinate's
+    key is (parity, key in that part); ``coordinates`` lists the odd ones
+    first, then the even ones, so concatenating the coordinates of
+    successive blocks still keeps each part in index order.
     """
 
     a: "SpaceSpec"
@@ -322,6 +377,10 @@ class Interleave:
         if isinstance(self.a, Interleave) or isinstance(self.b, Interleave):
             raise InvalidSpecError("interleave components must not themselves interleave")
 
+    @property
+    def unconditional(self) -> bool:
+        return self.a.unconditional and self.b.unconditional
+
     def split(self, v: SparseVector) -> tuple[SparseVector, SparseVector]:
         odd = {}
         even = {}
@@ -332,10 +391,22 @@ class Interleave:
                 even[index // 2] = coeff
         return SparseVector(odd), SparseVector(even)
 
+    def coordinates(self, v: SparseVector) -> list[tuple[tuple[bool, object], float]]:
+        odd, even = self.split(v)
+        return [((False, k), c) for k, c in self.a.coordinates(odd)] + [
+            ((True, k), c) for k, c in self.b.coordinates(even)
+        ]
+
     def norm(self, v: SparseVector) -> float:
         odd, even = self.split(v)
-        na = self.a.norm(odd)
-        nb = self.b.norm(even)
+        return self._outer(self.a.norm(odd), self.b.norm(even))
+
+    def coordinate_norm(self, coords) -> float:
+        na = self.a.coordinate_norm([(k, c) for (even, k), c in coords if not even])
+        nb = self.b.coordinate_norm([(k, c) for (even, k), c in coords if even])
+        return self._outer(na, nb)
+
+    def _outer(self, na: float, nb: float) -> float:
         return max(na, nb) if self.outer == "max" else na + nb
 
     def to_doc(self) -> dict:
@@ -343,7 +414,7 @@ class Interleave:
 
 
 @dataclass(frozen=True)
-class James:
+class James(_Space):
     """James space norm on finitely supported vectors.
 
     ||x|| = sup over increasing index tuples p_1 < ... < p_m (m >= 2, drawn
@@ -357,16 +428,20 @@ class James:
 
     Allowing the tuple to visit zero coordinates in gaps of the support is
     required for the triangle inequality (restricting to the support breaks
-    subadditivity, e.g. against e_1 + e_3 perturbed at index 2).
+    subadditivity, e.g. against e_1 + e_3 perturbed at index 2).  A
+    coordinate's key is its index.  The norm is conditional: flipping the
+    sign of one coordinate changes the differences.
     """
 
-    def _candidates(self, v: SparseVector) -> list[float]:
+    unconditional = False
+
+    def _candidates(self, coords) -> list[float]:
         # Consecutive equal values are interchangeable for the supremum, so
         # compress runs: keep one representative per maximal constant run of
         # the coordinate profile on 1 .. max(supp)+1.
         values: list[float] = []
         previous_index = 0
-        for index, coeff in v._entries.items():
+        for index, coeff in coords:
             if index > previous_index + 1 and (not values or values[-1] != 0.0):
                 values.append(0.0)
             if not values or values[-1] != coeff:
@@ -376,11 +451,11 @@ class James:
             values.append(0.0)  # the closing coordinate past the support
         return values
 
-    def norm(self, v: SparseVector) -> float:
-        if v.is_zero():
+    def coordinate_norm(self, coords) -> float:
+        if not coords:
             return 0.0
-        scale = max(abs(c) for c in v._entries.values())
-        values = [c / scale for c in self._candidates(v)]
+        scale = max(abs(c) for _, c in coords)
+        values = [c / scale for c in self._candidates(coords)]
         n = len(values)
         # best[j] = max over tuples ending at j of the accumulated square sum
         best = [0.0] * n
@@ -411,6 +486,29 @@ SpaceSpec = Lp | C0 | LpSum | Interleave | James
 def norm(spec: SpaceSpec, v: SparseVector) -> float:
     """Norm of ``v`` in the space described by ``spec``."""
     return spec.norm(v)
+
+
+def combination_norm(
+    spec: SpaceSpec, coeffs: Iterable[float], parts: Iterable[Sequence[tuple[object, float]]]
+) -> float:
+    """||sum_i coeffs[i] * v_i|| from ``parts[i] = spec.coordinates(v_i)``.
+
+    The vectors must have successively increasing supports, so the
+    combination's coordinates are the products ``a * c`` in the parts' order
+    and no two of them add up.  The products, the dropped zeros, the
+    rejection of non-finite values and the norm formula are the float
+    operations that building the combination and calling ``spec.norm`` would
+    run, so the result is bit-identical to that, without any SparseVector.
+    """
+    return spec.coordinate_norm(
+        [
+            (key, x)
+            for a, part in zip(coeffs, parts)
+            if a != 0.0
+            for key, c in part
+            if (x := a * c) != 0.0 and (-INF < x < INF or _reject_coefficient(x))
+        ]
+    )
 
 
 def segment_of(spec: LpSum, index: int) -> SegmentIndex:

@@ -73,6 +73,12 @@ class TestScalarNet:
         with pytest.raises(ValueError):
             ScalarNet.grid(step=0.3)
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_empty_grid_rejected(self, max_len):
+        # an empty net would make every goodness verdict a vacuous pass
+        with pytest.raises(ValueError, match="max_len"):
+            ScalarNet.grid(step=0.25, max_len=max_len)
+
 
 class TestGoodness:
     def test_lp_units_are_good_with_exact_limits(self):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -7,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from banachkit import cli
 from banachkit.cli import main
 
 
@@ -59,6 +61,18 @@ class TestNormCommand:
     def test_bad_space_is_usage_error(self):
         code, _, err = run_cli("norm", "--space", '{"kind":"nope"}', "--vector", "1:1")
         assert code == 2
+
+    @pytest.mark.parametrize("entry", ["1:nan", "1:inf", "2:-inf"])
+    def test_non_finite_vector_is_usage_error(self, entry):
+        code, out, err = run_cli("norm", "--space", LP2, "--vector", entry)
+        assert code == 2
+        assert out == "" and "not finite" in err
+
+    def test_overflowing_norm_is_not_reported(self):
+        # both coordinates are finite, their l_1 norm is not
+        code, out, err = run_cli("norm", "--space", '{"kind":"lp","p":1}', "--vector", "1:1e308,2:1e308")
+        assert code == 2
+        assert out == "" and "JSON" in err
 
 
 class TestVerifyExampleSpace:
@@ -122,6 +136,14 @@ class TestAnalysisCommands:
     def test_goodness_requires_input(self):
         code, _, err = run_cli("goodness", "--space", LP2)
         assert code == 2
+
+    def test_goodness_with_empty_net_is_usage_error(self):
+        # not a vacuous good-within-tolerance verdict with exit 0
+        code, out, err = run_cli(
+            "goodness", "--space", LP2, "--blocking", "1|2|3|4", "--max-n", "0",
+        )
+        assert code == 2
+        assert out == "" and "max_len" in err
 
     def test_goodness_blocking(self):
         code, doc = run_json(
@@ -218,6 +240,11 @@ class TestOutputContracts:
         assert lines[1].startswith("# config:")
         assert lines[2].split(",")[:3] == ["coeffs", "K", "H"]
         assert len(lines) > 3
+
+    def test_json_reports_refuse_nan(self):
+        args = argparse.Namespace(format="json")
+        with pytest.raises(ValueError):
+            cli._emit(args, "norm", {}, {"norm": math.nan})
 
     def test_unknown_command_exits_2(self):
         code, _, _ = run_cli("frobnicate")

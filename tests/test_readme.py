@@ -1,0 +1,34 @@
+"""The README's library tour runs as printed and gives the commented results."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def tour_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_tour_runs_verbatim():
+    block = tour_block()
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+
+    assert "# 'good-within-tolerance'" in block
+    assert namespace["report"].verdict == "good-within-tolerance"
+    assert namespace["report"].net.max_len == 4
+
+    assert "# '1|3|5'" in block
+    assert namespace["cert"].witness.encode() == "1|3|5"
+
+    assert "# '3|4|5|6|7|8'" in block
+    assert namespace["result"].blocking.encode() == "3|4|5|6|7|8"
+
+    constants = namespace["verdict"].constants()
+    assert all(b <= a for a, b in zip(constants, constants[1:]))
+    assert constants[-1] == pytest.approx(2 ** (1 / 1.8 - 1 / 2), rel=1e-9)

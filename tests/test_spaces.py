@@ -41,6 +41,22 @@ class TestSparseVector:
         with pytest.raises(InvalidVectorError):
             SparseVector({-3: 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(InvalidVectorError, match="not finite"):
+            SparseVector({1: 1.0, 2: bad})
+        with pytest.raises(InvalidVectorError):
+            SparseVector.parse(f"1:{bad}")
+
+    def test_rejects_overflowing_arithmetic(self):
+        big = SparseVector({1: 1e308})
+        with pytest.raises(InvalidVectorError):
+            big + big
+        with pytest.raises(InvalidVectorError):
+            big.scale(10.0)
+        with pytest.raises(InvalidVectorError):
+            SparseVector([(1, 1e308), (1, 1e308)])
+
     def test_arithmetic(self):
         v = SparseVector({1: 1.0, 2: -2.0})
         w = SparseVector({2: 2.0, 5: 1.0})
