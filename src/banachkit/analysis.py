@@ -197,6 +197,16 @@ class GoodnessReport:
         return rows
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
+def _check_quantum(quantum: float) -> None:
+    if not 0.0 < quantum < math.inf:
+        raise ValueError(f"quantum must be finite and > 0, got {quantum!r}")
+
+
 def _sign_free(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(abs, coeffs))
 
@@ -249,6 +259,7 @@ def goodness_test(
     good-within-tolerance iff every oscillation is <= epsilon; any window
     that does not fit the sequence makes the verdict inconclusive.
     """
+    _check_epsilon(epsilon)
     seq = list(seq)
     if H is None:
         H = 3 * net.max_len
@@ -711,8 +722,7 @@ def norm_quantization_coloring(
     ``cache`` maps a block's elements to ``spec.coordinates(y_E)`` and may be
     shared by colorings of the same space.
     """
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
+    _check_quantum(quantum)
     coeffs = tuple(float(c) for c in coeffs)
     coords_cache: dict[tuple[int, ...], list] = cache if cache is not None else {}
 
@@ -810,6 +820,8 @@ def nccb_stabilize(
     """
     if M < 1:
         raise ValueError("ground bound M must be >= 1")
+    _check_epsilon(epsilon)
+    _check_quantum(quantum)
     current = Blocking.singletons(M)
     steps = []
     complete = True
@@ -856,13 +868,24 @@ def verify_stabilization(
     result: StabilizationResult,
     net: ScalarNet,
 ) -> bool:
-    """Exhaustively recolor every coarsening family of the result per tuple."""
+    """Exhaustively recolor every coarsening family of the result per tuple.
+
+    In an unconditional space the tuples t, -t and |t| color every blocking
+    alike (their combination norms are the same float operations up to
+    sign), so each such sign family is recolored once.
+    """
     P = result.blocking
+    checked: set[tuple[float, ...]] = set()
+    cache: dict = {}
     for coeffs in net.tuples:
         n = len(coeffs)
-        if len(P) < n:
+        family = _sign_free(coeffs) if spec.unconditional else tuple(coeffs)
+        if len(P) < n or family in checked:
             continue
-        coloring = norm_quantization_coloring(spec, coeffs, result.quantum, result.ground)
+        checked.add(family)
+        coloring = norm_quantization_coloring(
+            spec, coeffs, result.quantum, result.ground, cache=cache
+        )
         seen = {coloring.of_blocking(list(F)) for F in coarsenings(P, n)}
         if len(seen) > 1:
             return False

@@ -18,7 +18,9 @@ together with the number of explored nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -70,6 +72,15 @@ class FiniteSet:
             raise InvalidBlockingError("elements must be positive integers")
         object.__setattr__(self, "elements", elems)
 
+    @classmethod
+    def _trusted(cls, elements: tuple[int, ...]) -> "FiniteSet":
+        """Wrap ``elements`` without re-sorting or re-checking them: the
+        caller guarantees a nonempty, strictly increasing tuple of positive
+        ints."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "elements", elements)
+        return fs
+
     def min(self) -> int:
         return self.elements[0]
 
@@ -115,6 +126,14 @@ class Blocking:
         if not is_blocking(normalized):
             raise InvalidBlockingError(f"blocks are not successively increasing: {normalized}")
         object.__setattr__(self, "blocks", normalized)
+
+    @classmethod
+    def _trusted(cls, blocks: tuple[FiniteSet, ...]) -> "Blocking":
+        """Wrap ``blocks`` without re-checking them: the caller guarantees
+        FiniteSets that are successively increasing."""
+        blocking = object.__new__(cls)
+        object.__setattr__(blocking, "blocks", blocks)
+        return blocking
 
     @classmethod
     def singletons(cls, m: int) -> "Blocking":
@@ -236,6 +255,48 @@ def _subsets_lex(elements: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+# Enumeration tables with at most this many entries are built once and kept
+# for the life of the process; larger ones are enumerated lazily, because a
+# search that succeeds early may consume only a few of their entries.
+_TABLE_LIMIT = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _subset_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Nonempty subsets of {1..n} in lexicographic order.
+
+    The subsets of {lo..n} are exactly its last 2^(n-lo+1) - 1 entries, in
+    the same order, so one table serves every ``lo``.
+    """
+    return tuple(_subsets_lex(range(1, n + 1)))
+
+
+def _subsets_from(lo: int, n: int) -> Iterable[tuple[int, ...]]:
+    """Nonempty subsets of {lo..n} in lexicographic order of sorted tuples."""
+    if lo > n:
+        return ()
+    if (1 << n) > _TABLE_LIMIT:
+        return _subsets_lex(range(lo, n + 1))
+    table = _subset_table(n)
+    return table[len(table) + 1 - (1 << (n - lo + 1)) :]
+
+
+class _Unions(dict):
+    """Union of P's blocks at sorted 1-based indices, built once per index tuple."""
+
+    def __init__(self, P: Blocking):
+        super().__init__()
+        self.parts = [b.elements for b in P.blocks]
+
+    def __missing__(self, indices: tuple[int, ...]) -> FiniteSet:
+        merged: tuple[int, ...] = ()
+        for i in indices:
+            merged += self.parts[i - 1]
+        # P's blocks are successively increasing, so merged is sorted
+        fs = self[indices] = FiniteSet._trusted(merged)
+        return fs
+
+
 def coarsen_by_indices(P: Blocking, index_sets: Sequence[Sequence[int]]) -> Blocking:
     """Blocking whose j-th block is the union of P's blocks at the j-th index set.
 
@@ -266,35 +327,31 @@ def coarsenings(P: Blocking, k: int) -> list[Blocking]:
     n = len(P)
     if k < 1 or k > n:
         return []
+    unions = _Unions(P)
     results: list[Blocking] = []
 
-    def extend(chosen: list[tuple[int, ...]], lo: int) -> None:
-        if len(chosen) == k:
-            results.append(coarsen_by_indices(P, chosen))
-            return
+    def extend(chosen: tuple[FiniteSet, ...], lo: int) -> None:
         remaining = k - len(chosen)
-        for subset in _subsets_lex(tuple(range(lo, n + 1))):
+        for subset in _subsets_from(lo, n):
             # blocks above max(subset) must still host the remaining sets
             if n - subset[-1] >= remaining - 1:
-                extend(chosen + [subset], subset[-1] + 1)
+                blocks = chosen + (unions[subset],)
+                if remaining == 1:
+                    results.append(Blocking._trusted(blocks))
+                else:
+                    extend(blocks, subset[-1] + 1)
 
-    extend([], 1)
+    extend((), 1)
+    # extend reaches itself through its closure; deleting the name breaks
+    # that cycle, so the memo is freed now rather than by the cycle collector
+    del extend
     return results
 
 
 def finite_unions(Q: Blocking) -> list[FiniteSet]:
     """All unions of nonempty subsets of Q's blocks (2^len - 1 sets)."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[FiniteSet] = []
-    for indices in _subsets_lex(tuple(range(len(Q)))):
-        merged: tuple[int, ...] = ()
-        for i in indices:
-            merged += Q[i].elements
-        fs = FiniteSet(merged)
-        if fs.elements not in seen:
-            seen.add(fs.elements)
-            out.append(fs)
-    return out
+    unions = _Unions(Q)
+    return [unions[indices] for indices in _subsets_from(1, len(Q))]
 
 
 def diagonal(nested: Sequence[Blocking]) -> Blocking:
@@ -403,11 +460,11 @@ def hindman_search(coloring: Coloring, M: int, L: int) -> SearchCertificate:
         if len(chosen) == L:
             best.append(SearchCertificate(True, Blocking(chosen), target, nodes))
             return True
-        for subset in _subsets_lex(tuple(range(lo, M + 1))):
+        for subset in _subsets_from(lo, M):
             if M - subset[-1] < L - len(chosen) - 1:
                 continue
             nodes += 1
-            block = FiniteSet(subset)
+            block = FiniteSet._trusted(subset)
             new_target = target
             new_unions = []
             ok = True
@@ -436,15 +493,37 @@ def _arity_tuples_with_last(j: int, k: int) -> Iterator[tuple[tuple[int, ...], .
     """
     def extend(chosen: tuple[tuple[int, ...], ...], lo: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if len(chosen) == k - 1:
-            for last in _subsets_lex(tuple(range(lo, j + 1))):
+            for last in _subsets_from(lo, j):
                 if last[-1] == j:
                     yield chosen + (last,)
             return
-        for subset in _subsets_lex(tuple(range(lo, j + 1))):
+        for subset in _subsets_from(lo, j):
             if subset[-1] < j:
                 yield from extend(chosen + (subset,), subset[-1] + 1)
 
     yield from extend((), 1)
+
+
+@lru_cache(maxsize=None)
+def _arity_table(j: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    return tuple(_arity_tuples_with_last(j, k))
+
+
+def _arity_tuples(j: int, k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
+    """``_arity_tuples_with_last(j, k)``, from a table built once per (j, k)."""
+    # a used set U of the j - 1 lower indices, split into k - 1 sets and the
+    # start of the last one: C(j-1, k-1) 2^(j-k) tuples
+    if comb(j - 1, k - 1) << (j - k) > _TABLE_LIMIT:
+        return _arity_tuples_with_last(j, k)
+    return _arity_table(j, k)
+
+
+def _check_arity(coloring: Coloring, k: int) -> None:
+    if coloring.arity is not None and coloring.arity != k:
+        raise ValueError(
+            f"coloring {coloring.name!r} has arity {coloring.arity}, "
+            f"but the search colors length-{k} blockings"
+        )
 
 
 def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> SearchCertificate:
@@ -460,25 +539,19 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
         raise ValueError("milliken_taylor_search needs a blocking coloring")
     if L < k or k < 1:
         raise ValueError(f"need 1 <= k <= L, got k={k}, L={L}")
+    _check_arity(coloring, k)
     n = len(P)
+    unions = _Unions(P)
     nodes = 0
     best: list[SearchCertificate] = []
-
-    def blocks_of(index_sets: Sequence[tuple[int, ...]]) -> list[FiniteSet]:
-        out = []
-        for indices in index_sets:
-            merged: tuple[int, ...] = ()
-            for i in indices:
-                merged += P[i - 1].elements
-            out.append(FiniteSet(merged))
-        return out
 
     def extend(chosen: list[tuple[int, ...]], target: int | None, lo: int) -> bool:
         nonlocal nodes
         if len(chosen) == L:
-            best.append(SearchCertificate(True, Blocking(blocks_of(chosen)), target, nodes))
+            witness = Blocking._trusted(tuple(unions[s] for s in chosen))
+            best.append(SearchCertificate(True, witness, target, nodes))
             return True
-        for subset in _subsets_lex(tuple(range(lo, n + 1))):
+        for subset in _subsets_from(lo, n):
             if n - subset[-1] < L - len(chosen) - 1:
                 continue
             nodes += 1
@@ -487,15 +560,15 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
             new_target = target
             ok = True
             if j >= k:
-                for meta in _arity_tuples_with_last(j, k):
+                for meta in _arity_tuples(j, k):
                     # meta indexes into the candidate prefix; expand twice
-                    index_sets = []
+                    blocks = []
                     for meta_set in meta:
                         merged: tuple[int, ...] = ()
                         for mi in meta_set:
                             merged += candidate[mi - 1]
-                        index_sets.append(merged)
-                    c = coloring.of_blocking(blocks_of(index_sets))
+                        blocks.append(unions[merged])
+                    c = coloring.of_blocking(blocks)
                     if new_target is None:
                         new_target = c
                     elif c != new_target:
@@ -505,9 +578,10 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
                 return True
         return False
 
-    if extend([], None, 1):
-        return best[0]
-    return SearchCertificate(False, None, None, nodes)
+    found = extend([], None, 1)
+    # as in coarsenings: free the memo and the coloring's caches now
+    del extend
+    return best[0] if found else SearchCertificate(False, None, None, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +605,7 @@ def verify_hindman_certificate(coloring: Coloring, cert: SearchCertificate) -> b
 
 
 def verify_milliken_taylor_certificate(coloring: Coloring, k: int, cert: SearchCertificate) -> bool:
+    _check_arity(coloring, k)
     if not cert.found or not isinstance(cert.witness, Blocking):
         return False
     return all(

@@ -5,11 +5,14 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from banachkit import analysis
 from banachkit.analysis import (
     LpReference,
     ScalarNet,
     SequenceReference,
+    StabilizationResult,
     VERDICT_GOOD,
     VERDICT_INCONCLUSIVE,
     VERDICT_OSCILLATING,
@@ -32,7 +35,7 @@ from banachkit.blockseq import (
     tree_from_array,
 )
 from banachkit.combinatorics import Blocking, FiniteSet, coarsenings
-from banachkit.spaces import C0, Interleave, James, Lp, SparseVector, make_example_space, norm
+from banachkit.spaces import C0, Interleave, James, Lp, LpSum, SparseVector, make_example_space, norm
 
 
 def unit(i):
@@ -305,6 +308,114 @@ class TestStabilization:
         coloring = norm_quantization_coloring(Lp(2.0), (1.0, 1.0), 0.05, 10)
         value = coloring.of_blocking([FiniteSet([1]), FiniteSet([2])])
         assert value == int(math.floor(round(math.sqrt(2), 12) / 0.05))
+
+
+UNCONDITIONAL_SPACES = {
+    "lp": Lp(1.5),
+    "c0": C0(),
+    "lp_sum": LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 4)),
+    "interleave": Interleave(Lp(1.0), C0(), "sum"),
+}
+
+
+def hand_built_result(blocking, ground):
+    return StabilizationResult(
+        blocking=Blocking.parse(blocking), steps=(), complete=True,
+        epsilon=0.1, quantum=0.05, ground=ground,
+    )
+
+
+class TestVerifyStabilizationFamilies:
+    @pytest.mark.parametrize("kind", sorted(UNCONDITIONAL_SPACES))
+    @settings(max_examples=25, deadline=None)
+    @given(t=st.lists(st.sampled_from((-1.0, -0.7, -0.5, 0.0, 0.3, 0.5, 1.0)), min_size=1, max_size=3))
+    def test_sign_family_colors_every_coarsening_alike(self, kind, t):
+        spec = UNCONDITIONAL_SPACES[kind]
+        assert spec.unconditional
+        P = Blocking.parse("1|2,3|5|6,7,8")
+        family = [t, [-a for a in t], [abs(a) for a in t]]
+        colorings = [norm_quantization_coloring(spec, coeffs, 0.05, 8) for coeffs in family]
+        for F in coarsenings(P, len(t)):
+            assert len({c.of_blocking(list(F)) for c in colorings}) == 1
+
+    @staticmethod
+    def recolored_tuples(monkeypatch):
+        calls = []
+        coloring = analysis.norm_quantization_coloring
+
+        def counted(spec, coeffs, *args, **kwargs):
+            calls.append(tuple(coeffs))
+            return coloring(spec, coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "norm_quantization_coloring", counted)
+        return calls
+
+    def test_unconditional_space_recolors_each_sign_family_once(self, monkeypatch):
+        spec = make_example_space(2.0, 3, [1.0, 1.5, 1.8])
+        net = ScalarNet.grid(0.5, 2)
+        result = nccb_stabilize(spec, 8, net, epsilon=0.1, quantum=0.05)
+        calls = self.recolored_tuples(monkeypatch)
+        assert verify_stabilization(spec, result, net)
+        families = {tuple(map(abs, t)) for t in net.tuples}
+        assert len(net.tuples) == 28 and len(families) == 10
+        assert len(calls) == 10
+        assert {tuple(map(abs, t)) for t in calls} == families
+
+    def test_james_recolors_every_tuple(self, monkeypatch):
+        net = ScalarNet.grid(0.5, 2)
+        result = nccb_stabilize(James(), 8, net, epsilon=0.1, quantum=0.05)
+        assert len(result.blocking) >= net.max_len
+        calls = self.recolored_tuples(monkeypatch)
+        assert verify_stabilization(James(), result, net)
+        assert calls == [tuple(t) for t in net.tuples]
+
+    @pytest.mark.parametrize(
+        "spec, blocking",
+        [(James(), "1|3|5"), (Interleave(Lp(2.0), James(), "max"), "2|3|4")],
+        ids=["james", "interleave-with-james"],
+    )
+    def test_conditional_family_member_is_checked(self, spec, blocking):
+        # (1, 1) is monochromatic over these blockings and (1, -1) is not;
+        # folding them into one sign family would pass the result
+        result = hand_built_result(blocking, 5)
+        assert verify_stabilization(spec, result, ScalarNet.of([(1.0, 1.0)]))
+        assert not verify_stabilization(spec, result, ScalarNet.of([(1.0, 1.0), (1.0, -1.0)]))
+
+    def test_unconditional_later_family_is_checked(self):
+        spec = make_example_space(2.0, 3, [1.0, 1.5, 1.8])
+        # blocks 1 and 2 lie in the l_1 segment, block 3 in the next one
+        result = hand_built_result("1|2|3", 3)
+        assert verify_stabilization(spec, result, ScalarNet.of([(1.0,), (-1.0,)]))
+        assert not verify_stabilization(spec, result, ScalarNet.of([(1.0,), (-1.0,), (-0.5, 1.0)]))
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("quantum", [0.0, -0.05, math.nan, math.inf])
+    def test_quantum_must_be_positive_and_finite(self, quantum):
+        with pytest.raises(ValueError, match="quantum"):
+            norm_quantization_coloring(Lp(2.0), (1.0,), quantum, 4)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_goodness_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            goodness_test(Lp(2.0), lp_units(6), ScalarNet.of([(1.0,)]), epsilon=epsilon)
+
+    def test_goodness_epsilon_zero_is_allowed(self):
+        report = goodness_test(Lp(2.0), lp_units(6), ScalarNet.of([(1.0,)]), epsilon=0.0)
+        assert report.verdict == VERDICT_GOOD
+
+    @pytest.mark.parametrize(
+        "epsilon, quantum",
+        [(math.nan, 0.05), (math.inf, 0.05), (-0.1, 0.05), (0.1, math.nan), (0.1, math.inf), (0.1, 0.0)],
+    )
+    def test_stabilize_rejects_before_any_search(self, monkeypatch, epsilon, quantum):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched with an invalid tolerance")
+
+        monkeypatch.setattr(analysis, "milliken_taylor_search", no_search)
+        # no net tuple fits M = 1, so without the up-front check nothing is colored
+        with pytest.raises(ValueError, match="epsilon" if quantum == 0.05 else "quantum"):
+            nccb_stabilize(Lp(2.0), 1, ScalarNet.of([(1.0, 1.0)]), epsilon=epsilon, quantum=quantum)
 
 
 class TestKrivine:

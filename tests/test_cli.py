@@ -119,6 +119,16 @@ class TestSearchCommands:
         assert code == 0
         assert doc["result"]["witness"] == [[1], [2], [3], [4], [5]]
 
+    @pytest.mark.parametrize("coeffs", ["1", "1,1,1"])
+    def test_milliken_coloring_of_another_arity_is_usage_error(self, coeffs):
+        code, out, err = run_cli(
+            "milliken", "--coloring", "norm-quant", "--space", LP2,
+            "--coeffs", coeffs, "--k", "2", "--P", "1|2|3|4", "--L", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "arity" in err
+
     def test_found_false_is_ordinary(self):
         code, doc = run_json("ramsey", "--coloring", "sum-parity", "--M", "4", "--k", "2", "--L", "4")
         assert code == 0
@@ -193,6 +203,22 @@ class TestAnalysisCommands:
         assert code == 0
         assert doc["result"]["blocking"] == [[1], [2], [3], [4], [5]]
         assert doc["result"]["verified_monochromatic"] is True
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["stabilize-nccb", "--space", LP2, "--M", "4", "--quantum", "nan"], "quantum"),
+            (["stabilize-nccb", "--space", LP2, "--M", "4", "--quantum", "inf"], "quantum"),
+            (["stabilize-nccb", "--space", LP2, "--M", "4", "--epsilon", "nan"], "epsilon"),
+            (["goodness", "--demo", "interleave-oscillation", "--epsilon", "inf"], "epsilon"),
+            (["goodness", "--demo", "interleave-oscillation", "--epsilon", "-1"], "epsilon"),
+        ],
+    )
+    def test_non_finite_or_negative_tolerance_is_usage_error(self, argv, name):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite" in err
 
     def test_krivine(self):
         code, doc = run_json("krivine-p", "--space", '{"kind":"lp","p":3}')

@@ -1,5 +1,6 @@
 """Blocking operations and the three monochromatic searches."""
 
+from itertools import islice
 from random import Random
 
 import pytest
@@ -10,6 +11,9 @@ from banachkit.combinatorics import (
     Coloring,
     FiniteSet,
     InvalidBlockingError,
+    SearchCertificate,
+    _arity_tuples,
+    _subsets_from,
     coarsen_by_indices,
     coarsenings,
     coloring_table_lines,
@@ -333,3 +337,250 @@ class TestColoringTables:
     def test_blocking_encoding(self):
         c = table_coloring({"1,2|4": 3}, kind="blocking", ground=4, arity=2)
         assert c.of_blocking([FiniteSet([1, 2]), FiniteSet([4])]) == 3
+
+
+class TestArityChecks:
+    def test_search_rejects_coloring_of_another_arity(self):
+        for arity in (1, 3):
+            c = constant_coloring(4, kind="blocking", arity=arity)
+            with pytest.raises(ValueError, match="arity"):
+                milliken_taylor_search(c, Blocking.singletons(4), 2, 3)
+
+    def test_verify_rejects_coloring_of_another_arity(self):
+        cert = milliken_taylor_search(
+            constant_coloring(4, kind="blocking", arity=2), Blocking.singletons(4), 2, 3
+        )
+        with pytest.raises(ValueError, match="arity"):
+            verify_milliken_taylor_certificate(constant_coloring(4, kind="blocking", arity=1), 2, cert)
+
+    def test_unspecified_arity_is_accepted(self):
+        c = constant_coloring(4, kind="blocking")
+        cert = milliken_taylor_search(c, Blocking.singletons(4), 2, 3)
+        assert verify_milliken_taylor_certificate(c, 2, cert)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the table-driven enumeration against the recursive
+# enumeration it replaced, copied here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_subsets_lex(elements):
+    for i, first in enumerate(elements):
+        yield (first,)
+        for rest in oracle_subsets_lex(elements[i + 1 :]):
+            yield (first,) + rest
+
+
+def oracle_coarsenings(P, k):
+    n = len(P)
+    if k < 1 or k > n:
+        return []
+    results = []
+
+    def extend(chosen, lo):
+        if len(chosen) == k:
+            results.append(coarsen_by_indices(P, chosen))
+            return
+        remaining = k - len(chosen)
+        for subset in oracle_subsets_lex(tuple(range(lo, n + 1))):
+            if n - subset[-1] >= remaining - 1:
+                extend(chosen + [subset], subset[-1] + 1)
+
+    extend([], 1)
+    return results
+
+
+def oracle_arity_tuples_with_last(j, k):
+    def extend(chosen, lo):
+        if len(chosen) == k - 1:
+            for last in oracle_subsets_lex(tuple(range(lo, j + 1))):
+                if last[-1] == j:
+                    yield chosen + (last,)
+            return
+        for subset in oracle_subsets_lex(tuple(range(lo, j + 1))):
+            if subset[-1] < j:
+                yield from extend(chosen + (subset,), subset[-1] + 1)
+
+    yield from extend((), 1)
+
+
+def oracle_milliken_taylor_search(coloring, P, k, L):
+    n = len(P)
+    nodes = 0
+    best = []
+
+    def blocks_of(index_sets):
+        out = []
+        for indices in index_sets:
+            merged = ()
+            for i in indices:
+                merged += P[i - 1].elements
+            out.append(FiniteSet(merged))
+        return out
+
+    def extend(chosen, target, lo):
+        nonlocal nodes
+        if len(chosen) == L:
+            best.append(SearchCertificate(True, Blocking(blocks_of(chosen)), target, nodes))
+            return True
+        for subset in oracle_subsets_lex(tuple(range(lo, n + 1))):
+            if n - subset[-1] < L - len(chosen) - 1:
+                continue
+            nodes += 1
+            candidate = chosen + [subset]
+            j = len(candidate)
+            new_target = target
+            ok = True
+            if j >= k:
+                for meta in oracle_arity_tuples_with_last(j, k):
+                    index_sets = []
+                    for meta_set in meta:
+                        merged = ()
+                        for mi in meta_set:
+                            merged += candidate[mi - 1]
+                        index_sets.append(merged)
+                    c = coloring.of_blocking(blocks_of(index_sets))
+                    if new_target is None:
+                        new_target = c
+                    elif c != new_target:
+                        ok = False
+                        break
+            if ok and extend(candidate, new_target, subset[-1] + 1):
+                return True
+        return False
+
+    if extend([], None, 1):
+        return best[0]
+    return SearchCertificate(False, None, None, nodes)
+
+
+def oracle_hindman_search(coloring, M, L):
+    nodes = 0
+    best = []
+
+    def extend(chosen, unions, target, lo):
+        nonlocal nodes
+        if len(chosen) == L:
+            best.append(SearchCertificate(True, Blocking(chosen), target, nodes))
+            return True
+        for subset in oracle_subsets_lex(tuple(range(lo, M + 1))):
+            if M - subset[-1] < L - len(chosen) - 1:
+                continue
+            nodes += 1
+            block = FiniteSet(subset)
+            new_target = target
+            new_unions = []
+            ok = True
+            for u in [block] + [u.union(block) for u in unions]:
+                c = coloring.of_set(u)
+                if new_target is None:
+                    new_target = c
+                elif c != new_target:
+                    ok = False
+                    break
+                new_unions.append(u)
+            if ok and extend(chosen + [block], unions + new_unions, new_target, subset[-1] + 1):
+                return True
+        return False
+
+    if extend([], [], None, 1):
+        return best[0]
+    return SearchCertificate(False, None, None, nodes)
+
+
+@st.composite
+def blockings(draw, max_ground=8):
+    """A blocking inside {1..max_ground}: each element is skipped, joins the
+    current block, or starts a new one."""
+    blocks = []
+    for e in range(1, max_ground + 1):
+        move = draw(st.sampled_from(("skip", "join", "new")))
+        if move == "new" or (move == "join" and not blocks):
+            blocks.append([e])
+        elif move == "join":
+            blocks[-1].append(e)
+    return Blocking(blocks or [[1]])
+
+
+def random_blocking_coloring(rng, P, k, colors):
+    """A table over <P>^k, either on whole encodings or on block minima
+    (the second kind leaves monochromatic witnesses more often)."""
+    if rng.random() < 0.5:
+        table = {F.encode(): rng.randrange(colors) for F in oracle_coarsenings(P, k)}
+        return table_coloring(table, kind="blocking", ground=P[-1].max(), colors=colors, arity=k)
+    minima = {}
+
+    def fn(blocks):
+        key = tuple(b.min() for b in blocks)
+        if key not in minima:
+            minima[key] = rng.randrange(colors)
+        return minima[key]
+
+    return Coloring(kind="blocking", colors=colors, ground=P[-1].max(), fn=fn, arity=k)
+
+
+def same_certificate(a, b):
+    return (a.found, a.witness, a.color, a.nodes_explored) == (b.found, b.witness, b.color, b.nodes_explored)
+
+
+class TestEnumerationAgainstRecursiveOracle:
+    def test_subset_tables(self):
+        for n in range(0, 11):
+            for lo in range(1, n + 2):
+                assert list(_subsets_from(lo, n)) == list(oracle_subsets_lex(tuple(range(lo, n + 1))))
+
+    def test_arity_tables(self):
+        for j in range(1, 9):
+            for k in range(1, min(j, 3) + 1):
+                assert list(_arity_tuples(j, k)) == list(oracle_arity_tuples_with_last(j, k))
+
+    def test_large_ground_sets_are_enumerated_lazily(self):
+        subsets = _subsets_from(1, 40)
+        assert not isinstance(subsets, tuple)
+        assert list(islice(subsets, 4)) == [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
+        metas = _arity_tuples(40, 2)
+        assert not isinstance(metas, tuple)
+        assert list(islice(metas, 3)) == list(islice(oracle_arity_tuples_with_last(40, 2), 3))
+        cert = hindman_search(constant_coloring(40), 40, 3)
+        assert (cert.witness.encode(), cert.nodes_explored) == ("1|2|3", 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(P=blockings())
+    def test_coarsenings_and_finite_unions(self, P):
+        for k in range(0, len(P) + 2):
+            got = [F.encode() for F in coarsenings(P, k)]
+            assert got == [F.encode() for F in oracle_coarsenings(P, k)]
+        unions = [FiniteSet(sum((P[i - 1].elements for i in s), ())) for s in oracle_subsets_lex(range(1, len(P) + 1))]
+        assert finite_unions(P) == unions
+
+    @settings(max_examples=120, deadline=None)
+    @given(P=blockings(), data=st.data())
+    def test_milliken_taylor_search(self, P, data):
+        k = data.draw(st.integers(1, min(3, len(P))))
+        L = data.draw(st.integers(k, len(P)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        colors = data.draw(st.integers(1, 3))
+        coloring = random_blocking_coloring(Random(seed), P, k, colors)
+        expected = oracle_milliken_taylor_search(coloring, P, k, L)
+        assert same_certificate(milliken_taylor_search(coloring, P, k, L), expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_hindman_search(self, data):
+        M = data.draw(st.integers(1, 8))
+        L = data.draw(st.integers(1, 4))
+        rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+        colors = data.draw(st.integers(1, 3))
+        by_min_and_size = data.draw(st.booleans())
+        table = {}
+
+        def fn(E):
+            key = (E.min(), len(E) % 2) if by_min_and_size else E.elements
+            if key not in table:
+                table[key] = rng.randrange(colors)
+            return table[key]
+
+        coloring = Coloring(kind="set", colors=colors, ground=M, fn=fn)
+        expected = oracle_hindman_search(coloring, M, L)
+        assert same_certificate(hindman_search(coloring, M, L), expected)

@@ -1,9 +1,12 @@
-"""Byte-exact reports of four fixed CLI invocations.
+"""Byte-exact reports of fixed CLI invocations.
 
-The hashes were taken from banachkit 0.1.0 before the combination-norm
-kernel replaced SparseVector arithmetic in the scans; any change to a
-verdict, certificate, color, node count or float changes them.  The argument
-lists are the benchmark's workloads at seed 0, copied here on purpose.
+The first four hashes were taken from banachkit 0.1.0 before the
+combination-norm kernel replaced SparseVector arithmetic in the scans; any
+change to a verdict, certificate, color, node count or float changes them.
+Their argument lists are the benchmark's workloads at seed 0, copied here on
+purpose.  The James stabilization was hashed before the searches moved to
+cached subset tables and verify to one pass per sign family; James is not
+unconditional, so its verify still recolors every tuple.
 """
 
 import hashlib
@@ -42,6 +45,13 @@ GOLDEN = {
     "sandwich": (
         ["verify-example-space", "--trials", "20000", "--seed", "0"],
         "273f2933402ea0b413997dbeab099958fcee1d92fa7b300ae9cc238b23164cb9",
+    ),
+    "stabilize-james": (
+        [
+            "stabilize-nccb", "--space", '{"kind":"james"}', "--M", "10",
+            "--net-step", "0.5", "--max-n", "2", "--verify",
+        ],
+        "1ade565d4d57127abb9dbc7314851e521c36e2e786fae6631f134f1546dee4d7",
     ),
 }
 

@@ -1,9 +1,14 @@
-"""The README's library tour runs as printed and gives the commented results."""
+"""The README's library tour and command-line examples run as printed."""
 
+import io
 import re
+import shlex
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from banachkit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +37,20 @@ def test_library_tour_runs_verbatim():
     constants = namespace["verdict"].constants()
     assert all(b <= a for a, b in zip(constants, constants[1:]))
     assert constants[-1] == pytest.approx(2 ** (1 / 1.8 - 1 / 2), rel=1e-9)
+
+
+def example_lines() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\nExamples:\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_cli_examples_run_verbatim():
+    lines = example_lines()
+    assert len(lines) == 5
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "banachkit"
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv[1:]) == 0, line
