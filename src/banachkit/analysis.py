@@ -39,6 +39,7 @@ from .spaces import (
     LpSum,
     SparseVector,
     SpaceSpec,
+    _reject_coefficient,
     combination_norm,
     make_example_space,
     type_p_witness,
@@ -95,7 +96,7 @@ class ScalarNet:
 
     @classmethod
     def grid(cls, step: float = 0.25, max_len: int = 4) -> "ScalarNet":
-        if step <= 0 or step > 2:
+        if not 0 < step <= 2:
             raise ValueError(f"net step {step} out of range")
         if max_len < 1:
             raise ValueError(f"net max_len {max_len} must be >= 1: the net would be empty")
@@ -975,14 +976,17 @@ class ExampleSpaceReport:
         }
 
 
-def random_block_tuple(
-    spec: LpSum,
-    rng: Random,
-    max_n: int = 4,
-    max_block: int = 5,
-    constant_coefficients: bool = False,
-) -> BlockSequence:
-    """Random normalized block tuple in an LpSum, biased toward segment joints."""
+def _draw_block_tuple(
+    spec: LpSum, rng: Random, max_n: int, max_block: int, constant_coefficients: bool
+) -> tuple[list[list[tuple[int, float]]], list[list[tuple[int, float]]]]:
+    """Random normalized block tuple in an LpSum, biased toward segment joints.
+
+    Returns, per block, its normalized ``(index, coeff)`` pairs and the same
+    coefficients keyed for ``spec.coordinate_norm``.  A block is scaled by
+    the float operations of ``SparseVector.scale`` (the products, dropped
+    zeros and rejected non-finite values), so the pairs are the entries of
+    the vectors ``random_block_tuple`` returns.
+    """
     n = rng.randint(1, max_n)
     total = spec.total_dim
     joints = [1] + [hi + 1 for _, hi in (spec.segment_range(s) for s in range(1, len(spec.ns)))]
@@ -993,19 +997,53 @@ def random_block_tuple(
         cursor = max(1, cursor - rng.randint(0, 3))
     else:
         cursor = rng.randint(1, max(1, total - budget))
-    vectors = []
+    pairs = []
+    parts = []
     for _ in range(n):
         size = rng.randint(1, max_block)
         window = sorted(rng.sample(range(cursor, cursor + size + 6), size))
         if constant_coefficients:
-            v = SparseVector.indicator(window)
+            coeffs = [1.0] * size
         else:
             coeffs = [rng.uniform(-1.0, 1.0) or 0.5 for _ in window]
-            v = SparseVector({i: c for i, c in zip(window, coeffs)})
-        magnitude = spec.norm(v)
-        vectors.append(v.scale(1.0 / magnitude))
-        cursor = max(window) + 1 + rng.randint(0, 4)
-    return BlockSequence(vectors)
+        keys = spec.segment_keys(window)
+        factor = 1.0 / spec.coordinate_norm(list(zip(keys, coeffs)))
+        block = []
+        part = []
+        for i, key, c in zip(window, keys, coeffs):
+            x = factor * c
+            if x != 0.0 and (-math.inf < x < math.inf or _reject_coefficient(x)):
+                block.append((i, x))
+                part.append((key, x))
+        pairs.append(block)
+        parts.append(part)
+        cursor = window[-1] + 1 + rng.randint(0, 4)
+    return pairs, parts
+
+
+def _block_tuple_reach(max_n: int, max_block: int) -> int:
+    """The largest index a block tuple drawn in a too short space can take.
+
+    A block lies in the ``size + 6`` indices from the cursor on, and the next
+    cursor is at most 5 past it, so ``n`` blocks from index 1 end by index
+    ``n * (max_block + 10) - 4``.  A space long enough for the anchor budget
+    keeps every tuple 10 short of its end; a shorter one starts every
+    tuple at index 1.  So tuples fit a space exactly when its dimension is
+    at least this reach at ``n = max_n``.
+    """
+    return max_n * (max_block + 10) - 4
+
+
+def random_block_tuple(
+    spec: LpSum,
+    rng: Random,
+    max_n: int = 4,
+    max_block: int = 5,
+    constant_coefficients: bool = False,
+) -> BlockSequence:
+    """Random normalized block tuple in an LpSum, biased toward segment joints."""
+    pairs, _ = _draw_block_tuple(spec, rng, max_n, max_block, constant_coefficients)
+    return BlockSequence([SparseVector(block) for block in pairs])
 
 
 def verify_example_space(
@@ -1024,25 +1062,36 @@ def verify_example_space(
         sum |a_i|^p <= ||sum a_i y_i||^p <= n^(p/p_{s0} - 1) * sum |a_i|^p
 
     with s0 the segment containing the first support point, and verifies
-    that every segment defeats the type-p inequality at C = s.
+    that every segment defeats the type-p inequality at C = s.  The tuples
+    are those of ``random_block_tuple`` at its default shape; a space too
+    short to hold them is rejected before any is drawn.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     spec = make_example_space(p, len(ps), ps)
+    max_n, max_block = 4, 5
+    reach = _block_tuple_reach(max_n, max_block)
+    if spec.total_dim < reach:
+        raise ValueError(
+            f"example space of total dimension {spec.total_dim} cannot host the random "
+            f"block tuples, which reach index {reach}"
+        )
     rng = Random(seed)
     failures: list[dict] = []
-    for _ in range(max(trials, 0)):
-        seq = random_block_tuple(spec, rng)
-        n = len(seq)
+    for _ in range(trials):
+        pairs, parts = _draw_block_tuple(spec, rng, max_n, max_block, False)
+        n = len(parts)
         coeffs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        value = spec.norm(combine(seq, coeffs, range(1, n + 1)))
+        value = combination_norm(spec, coeffs, parts)
         power_sum = sum(abs(a) ** spec.p for a in coeffs)
-        s0 = spec.segment_of(seq[0].min_index()).s
+        s0 = parts[0][0][0] + 1
         cap = n ** (spec.p / spec.ps[s0 - 1] - 1.0) * power_sum
         mid = value ** spec.p
         if not (power_sum <= mid + tol and mid <= cap + tol):
             failures.append(
                 {
-                    "blocks": [list(v.support()) for v in seq],
-                    "vectors": [v.to_pairs() for v in seq],
+                    "blocks": [[i for i, _ in block] for block in pairs],
+                    "vectors": [[[i, c] for i, c in block] for block in pairs],
                     "coeffs": coeffs,
                     "norm": value,
                     "lower": power_sum,
@@ -1056,9 +1105,9 @@ def verify_example_space(
     passed = not failures and all(ok for _, ok in type_checks)
     return ExampleSpaceReport(
         passed=passed,
-        trials=max(trials, 0),
+        trials=trials,
         sandwich_failures=tuple(failures),
         type_checks=type_checks,
         ns=spec.ns,
-        vacuous=trials <= 0,
+        vacuous=trials == 0,
     )

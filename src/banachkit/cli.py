@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -361,11 +362,21 @@ def _horizon(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
+def _net_step(text: str) -> float:
+    try:
+        step = float(text)
+    except ValueError:
+        step = math.nan
+    if not 0.0 < step < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return step
+
+
 def _add_common(sub, net: bool = True):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if net:
-        sub.add_argument("--net-step", type=float, default=0.25)
+        sub.add_argument("--net-step", type=_net_step, default=0.25)
         sub.add_argument("--max-n", type=int, default=2)
 
 

@@ -22,6 +22,7 @@ from .analysis import (
     LpReference,
     ScalarNet,
     VERDICT_GOOD,
+    _check_epsilon,
     equivalence_constant,
     goodness_test,
 )
@@ -414,6 +415,7 @@ def asymptotic_lp_verdict(
     """
     if not schedule:
         raise ValueError("need a nonempty cutoff schedule")
+    _check_epsilon(epsilon)
     schedule = sorted(schedule)
     if net is None:
         net = ScalarNet.grid(step=0.25, max_len=n)

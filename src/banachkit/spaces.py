@@ -326,12 +326,16 @@ class LpSum(_Space):
         lo = (self._cumulative[s - 2] if s >= 2 else 0) + 1
         return lo, self._cumulative[s - 1]
 
-    def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
-        if not v.is_zero() and v.max_index() > self.total_dim:
+    def segment_keys(self, indices: Sequence[int]) -> list[int]:
+        """The coordinate keys of the increasing positive ``indices``; raises past the segments."""
+        if indices and indices[-1] > self.total_dim:
             # segment_of raises for the first index past the segments
-            self.segment_of(next(i for i in v._entries if i > self.total_dim))
+            self.segment_of(next(i for i in indices if i > self.total_dim))
         cumulative = self._cumulative
-        return [(bisect_left(cumulative, i), c) for i, c in v._entries.items()]
+        return [bisect_left(cumulative, i) for i in indices]
+
+    def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
+        return list(zip(self.segment_keys(v.support()), v._entries.values()))
 
     def norm(self, v: SparseVector) -> float:
         return self.coordinate_norm(self.coordinates(v))

@@ -1,6 +1,7 @@
 """Goodness verdicts, spreading estimates, equivalence constants,
 extraction, stabilization, and the Krivine slope estimator."""
 
+import json
 import math
 from random import Random
 
@@ -30,12 +31,24 @@ from banachkit.analysis import (
 from banachkit.blockseq import (
     BlockSequence,
     branch,
+    combine,
     interleave_array,
     nccb_from_blocking,
     tree_from_array,
 )
 from banachkit.combinatorics import Blocking, FiniteSet, coarsenings
-from banachkit.spaces import C0, Interleave, James, Lp, LpSum, SparseVector, make_example_space, norm
+from banachkit.spaces import (
+    C0,
+    Interleave,
+    InvalidVectorError,
+    James,
+    Lp,
+    LpSum,
+    SparseVector,
+    make_example_space,
+    norm,
+    type_p_witness,
+)
 
 
 def unit(i):
@@ -75,6 +88,11 @@ class TestScalarNet:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             ScalarNet.grid(step=0.3)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.5])
+    def test_non_finite_or_non_positive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="out of range"):
+            ScalarNet.grid(step=step)
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_empty_grid_rejected(self, max_len):
@@ -452,3 +470,158 @@ class TestExampleSpaceVerification:
         report = verify_example_space(2.0, [1.0, 1.5], trials=0)
         assert report.vacuous
         assert report.passed
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            verify_example_space(2.0, [1.0, 1.5], trials=-5)
+
+    def test_too_short_space_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a tuple in a space too short for it")
+
+        monkeypatch.setattr(analysis, "_draw_block_tuple", no_draw)
+        # make_example_space(2, 1, [1]) has the single segment l_1^2
+        with pytest.raises(ValueError, match="total dimension 2"):
+            verify_example_space(2.0, [1.0], trials=10)
+
+    @pytest.mark.parametrize("max_n, max_block", [(1, 1), (1, 3), (2, 2)])
+    def test_reach_is_the_largest_drawn_index(self, max_n, max_block):
+        # a space as long as the reach holds every draw and some draw ends
+        # on its last index; one index shorter, that draw leaves the space
+        reach = analysis._block_tuple_reach(max_n, max_block)
+        fits = LpSum(p=2.0, ps=(1.0,), ns=(reach,))
+        rng = Random(0)
+        tops = [random_block_tuple(fits, rng, max_n, max_block)[-1].max_index() for _ in range(2000)]
+        assert max(tops) == reach
+        short = LpSum(p=2.0, ps=(1.0,), ns=(reach - 1,))
+        rng = Random(0)
+        with pytest.raises(InvalidVectorError, match="outside the declared segments"):
+            for _ in range(2000):
+                random_block_tuple(short, rng, max_n, max_block)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the sandwich check and its random block tuples against
+# the SparseVector / combine path they replaced, copied here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_random_block_tuple(spec, rng, max_n=4, max_block=5, constant_coefficients=False):
+    n = rng.randint(1, max_n)
+    total = spec.total_dim
+    joints = [1] + [hi + 1 for _, hi in (spec.segment_range(s) for s in range(1, len(spec.ns)))]
+    budget = n * (max_block + 10) + 5
+    anchors = [j for j in joints if j + budget <= total] or [1]
+    if rng.random() < 0.5:
+        cursor = rng.choice(anchors)
+        cursor = max(1, cursor - rng.randint(0, 3))
+    else:
+        cursor = rng.randint(1, max(1, total - budget))
+    vectors = []
+    for _ in range(n):
+        size = rng.randint(1, max_block)
+        window = sorted(rng.sample(range(cursor, cursor + size + 6), size))
+        if constant_coefficients:
+            v = SparseVector.indicator(window)
+        else:
+            coeffs = [rng.uniform(-1.0, 1.0) or 0.5 for _ in window]
+            v = SparseVector({i: c for i, c in zip(window, coeffs)})
+        magnitude = spec.norm(v)
+        vectors.append(v.scale(1.0 / magnitude))
+        cursor = max(window) + 1 + rng.randint(0, 4)
+    return BlockSequence(vectors)
+
+
+def oracle_verify_example_space(p, ps, trials, seed=0, tol=1e-9):
+    spec = make_example_space(p, len(ps), ps)
+    rng = Random(seed)
+    failures = []
+    for _ in range(max(trials, 0)):
+        seq = oracle_random_block_tuple(spec, rng)
+        n = len(seq)
+        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        value = spec.norm(combine(seq, coeffs, range(1, n + 1)))
+        power_sum = sum(abs(a) ** spec.p for a in coeffs)
+        s0 = spec.segment_of(seq[0].min_index()).s
+        cap = n ** (spec.p / spec.ps[s0 - 1] - 1.0) * power_sum
+        mid = value ** spec.p
+        if not (power_sum <= mid + tol and mid <= cap + tol):
+            failures.append(
+                {
+                    "blocks": [list(v.support()) for v in seq],
+                    "vectors": [v.to_pairs() for v in seq],
+                    "coeffs": coeffs,
+                    "norm": value,
+                    "lower": power_sum,
+                    "upper": cap,
+                    "segment": s0,
+                }
+            )
+    type_checks = tuple(
+        (s, type_p_witness(spec, s, float(s))) for s in range(1, len(spec.ns) + 1)
+    )
+    passed = not failures and all(ok for _, ok in type_checks)
+    return analysis.ExampleSpaceReport(
+        passed=passed,
+        trials=max(trials, 0),
+        sandwich_failures=tuple(failures),
+        type_checks=type_checks,
+        ns=spec.ns,
+        vacuous=trials <= 0,
+    )
+
+
+# (p, ps): the default space, a shorter one, and two with other exponents;
+# the second segment of the last is 513 long, its third about 3.8e14
+EXAMPLE_PARAMETERS = [
+    (2.0, (1.0, 1.5, 1.8)),
+    (2.0, (1.0, 1.5)),
+    (1.5, (1.0, 1.2)),
+    (1.8, (1.2, 1.5, 1.7)),
+]
+
+
+def report_bytes(report):
+    return json.dumps(report.to_doc(), sort_keys=True, allow_nan=False)
+
+
+class TestSandwichAgainstVectorPath:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        parameters=st.sampled_from(EXAMPLE_PARAMETERS),
+        tol=st.sampled_from((1e-9, 0.0, -1e-3)),
+    )
+    def test_report_is_byte_identical(self, seed, parameters, tol):
+        p, ps = parameters
+        report = verify_example_space(p, ps, 120, seed=seed, tol=tol)
+        assert report_bytes(report) == report_bytes(oracle_verify_example_space(p, ps, 120, seed=seed, tol=tol))
+
+    @pytest.mark.parametrize("parameters", EXAMPLE_PARAMETERS)
+    def test_failure_records_are_byte_identical(self, parameters):
+        # a negative tolerance makes some trials fail, so records are compared
+        p, ps = parameters
+        report = verify_example_space(p, ps, 400, seed=7, tol=-1e-3)
+        assert report.sandwich_failures and not report.passed
+        assert report_bytes(report) == report_bytes(oracle_verify_example_space(p, ps, 400, seed=7, tol=-1e-3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        parameters=st.sampled_from(EXAMPLE_PARAMETERS),
+        max_n=st.integers(1, 5),
+        max_block=st.integers(1, 6),
+        constant_coefficients=st.booleans(),
+    )
+    def test_random_block_tuple_matches(self, seed, parameters, max_n, max_block, constant_coefficients):
+        spec = make_example_space(parameters[0], len(parameters[1]), parameters[1])
+        rng, oracle_rng = Random(seed), Random(seed)
+        for _ in range(5):
+            outcomes = []
+            for draw, source in ((random_block_tuple, rng), (oracle_random_block_tuple, oracle_rng)):
+                try:
+                    outcomes.append([v.to_pairs() for v in draw(spec, source, max_n, max_block, constant_coefficients)])
+                except InvalidVectorError as exc:  # a window past a short space
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert rng.getstate() == oracle_rng.getstate()

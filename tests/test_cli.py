@@ -88,6 +88,16 @@ class TestVerifyExampleSpace:
         assert code == 0
         assert "warning" in doc["result"]
 
+    def test_negative_trials_is_usage_error(self):
+        code, out, err = run_cli("verify-example-space", "--trials", "-5")
+        assert code == 2
+        assert out == "" and "trials must be >= 0" in err
+
+    def test_space_too_short_for_the_tuples_is_usage_error(self):
+        code, out, err = run_cli("verify-example-space", "--ps", "1")
+        assert code == 2
+        assert out == "" and "total dimension 2" in err
+
 
 class TestSearchCommands:
     def test_hindman_with_certificate(self):
@@ -212,6 +222,8 @@ class TestAnalysisCommands:
             (["stabilize-nccb", "--space", LP2, "--M", "4", "--epsilon", "nan"], "epsilon"),
             (["goodness", "--demo", "interleave-oscillation", "--epsilon", "inf"], "epsilon"),
             (["goodness", "--demo", "interleave-oscillation", "--epsilon", "-1"], "epsilon"),
+            (["stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--epsilon", "-1"], "epsilon"),
+            (["stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--epsilon", "nan"], "epsilon"),
         ],
     )
     def test_non_finite_or_negative_tolerance_is_usage_error(self, argv, name):
@@ -219,6 +231,24 @@ class TestAnalysisCommands:
         assert code == 2
         assert out == ""
         assert f"{name} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["goodness", "--demo", "interleave-oscillation"],
+            ["goodness", "--space", LP2, "--blocking", "1|2|3"],
+            ["spreading", "--space", LP2, "--blocking", "1|2|3", "--horizons", "1"],
+            ["equivalence", "--space", LP2, "--blocking", "1|2|3"],
+            ["stabilize-nccb", "--space", LP2, "--M", "4"],
+            ["extract", "--space", LP2, "--blocking", "1|2|3"],
+        ],
+    )
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.5", "x"])
+    def test_bad_net_step_is_usage_error(self, argv, step):
+        code, out, err = run_cli(*argv, "--net-step", step)
+        assert code == 2
+        assert out == ""
+        assert "--net-step: must be a finite number > 0" in err
 
     def test_krivine(self):
         code, doc = run_json("krivine-p", "--space", '{"kind":"lp","p":3}')

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from banachkit import games
 from banachkit.analysis import LpReference, equivalence_constant
 from banachkit.blockseq import (
     BlockSequence,
@@ -162,6 +163,15 @@ class TestAsymptoticVerdict:
         bound = 2 ** (1 / 1.8 - 1 / 2)
         assert constants[-1] <= bound + verdict.rows[-1].certificate_report.net_error + 1e-9
         assert verdict.empirical
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_epsilon_rejected_before_sampling(self, monkeypatch, epsilon):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sampled with an invalid epsilon")
+
+        monkeypatch.setattr(games, "_tuple_pool", no_pool)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [1, 3], epsilon=epsilon, samples=5)
 
     def test_reports_carry_pool_parameters(self):
         verdict = asymptotic_lp_verdict(Lp(1.0), 1.0, 2, [1, 4], epsilon=0.1, samples=10)
