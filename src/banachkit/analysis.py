@@ -720,28 +720,47 @@ def norm_quantization_coloring(
     f(E_1, ..., E_n) = floor( ||sum_i a_i y_{E_i}|| / quantum ) where each
     y_E is the normalized indicator of E.  Values in [0, n] land in finitely
     many cells; a monochromatic family has oscillation below ``quantum``.
-    ``cache`` maps a block's elements to ``spec.coordinates(y_E)`` and may be
-    shared by colorings of the same space.
+
+    Blocks fall into classes: a class is one distinct list of coordinates
+    ``spec.coordinates(y_E)``, and in Lp, C0 and LpSum many blocks share one
+    (equal sizes, in the same segments).  ``cache`` maps a block's elements
+    to its class id, and its ``None`` entry holds the class table: the
+    coordinates of each class, stored once, and the id of each coordinate
+    list.  It may be shared by colorings of the same space.  Each coloring
+    memoizes its colors by the tuple of its blocks' class ids.  The memo is
+    exact: ``combination_norm`` is a pure function of the coefficients and
+    the coordinate lists, so blockings with equal class tuples have
+    bit-identical norms and the same color.
     """
     _check_quantum(quantum)
     coeffs = tuple(float(c) for c in coeffs)
-    coords_cache: dict[tuple[int, ...], list] = cache if cache is not None else {}
+    class_of: dict = cache if cache is not None else {}
+    class_coords, class_ids = class_of.setdefault(None, ([], {}))
+    colors: dict[tuple[int, ...], int] = {}
 
-    def nccb_coordinates(block: FiniteSet) -> list:
-        key = block.elements
-        if key not in coords_cache:
-            indicator = SparseVector.indicator(key)
-            coords_cache[key] = spec.coordinates(indicator.scale(1.0 / spec.norm(indicator)))
-        return coords_cache[key]
+    def class_id(elements: tuple[int, ...]) -> int:
+        cid = class_of.get(elements)
+        if cid is None:
+            indicator = SparseVector.indicator(elements)
+            coords = tuple(spec.coordinates(indicator.scale(1.0 / spec.norm(indicator))))
+            cid = class_of[elements] = class_ids.setdefault(coords, len(class_coords))
+            if cid == len(class_coords):
+                class_coords.append(coords)
+        return cid
 
     def fn(blocks: tuple[FiniteSet, ...]) -> int:
         # The blocks of a blocking are successively increasing.  As in
-        # combine, a block under a zero coefficient is never normalized.
-        parts = [nccb_coordinates(b) if a != 0.0 else () for a, b in zip(coeffs, blocks)]
-        value = combination_norm(spec, coeffs, parts)
-        # snap to 12 decimals first so values that are equal up to float
-        # noise (different summation orders, block sizes) share a cell
-        return int(math.floor(round(value, 12) / quantum))
+        # combine, a block under a zero coefficient is never normalized:
+        # its id is -1 and its coordinates are empty.
+        key = tuple([class_id(b.elements) if a != 0.0 else -1 for a, b in zip(coeffs, blocks)])
+        color = colors.get(key)
+        if color is None:
+            parts = [class_coords[cid] if cid >= 0 else () for cid in key]
+            value = combination_norm(spec, coeffs, parts)
+            # snap to 12 decimals first so values that are equal up to float
+            # noise (different summation orders, block sizes) share a cell
+            color = colors[key] = int(math.floor(round(value, 12) / quantum))
+        return color
 
     return Coloring(
         kind="blocking",
@@ -931,12 +950,11 @@ def krivine_p_estimate(spec: SpaceSpec, max_n: int, start: int = 1) -> KrivineRe
     if max_n < 4:
         raise ValueError("need max_n >= 4 for a meaningful fit")
     blocking = Blocking([FiniteSet([start + i]) for i in range(max_n)])
-    ys = nccb_from_blocking(spec, blocking)
-    norms = []
-    total = SparseVector()
-    for v in ys:
-        total = total + v
-        norms.append(spec.norm(total))
+    parts = [spec.coordinates(y) for y in nccb_from_blocking(spec, blocking)]
+    # the singletons are disjoint, so each prefix sum has exactly their
+    # coordinates and unit coefficients reproduce its float operations
+    ones = [1.0] * max_n
+    norms = [combination_norm(spec, ones, parts[:n]) for n in range(1, max_n + 1)]
     xs = [math.log(n) for n in range(1, max_n + 1)]
     logs = [math.log(max(v, 1e-300)) for v in norms]
     monotone = all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))

@@ -248,7 +248,7 @@ def _cmd_equivalence(args) -> int:
     spec = _load_space(args.space)
     seq = _sequence_from_args(spec, args)
     ref_p = float("inf") if args.ref_p == "inf" else float(args.ref_p)
-    n = args.ref_n if args.ref_n else len(seq)
+    n = len(seq) if args.ref_n is None else args.ref_n
     report = equivalence_constant(
         spec, seq, LpReference(ref_p, n), net_step=args.net_step
     )
@@ -372,6 +372,21 @@ def _net_step(text: str) -> float:
     return step
 
 
+def _at_least(minimum: int):
+    """Argument type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_common(sub, net: bool = True):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -425,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--space", required=True)
     _add_sequence_args(sub)
     sub.add_argument("--ref-p", default="2")
-    sub.add_argument("--ref-n", type=int, default=None)
+    sub.add_argument("--ref-n", type=_at_least(1), default=None)
     _add_common(sub)
     sub.set_defaults(fn=_cmd_equivalence)
 
@@ -433,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--space", required=True)
     sub.add_argument("--subspace", default="tail:1", help="constant:m or tail:lead")
     sub.add_argument("--vector-player", default="unit", help="unit or nccb:width")
-    sub.add_argument("--rounds", type=int, default=4)
+    sub.add_argument("--rounds", type=_at_least(0), default=4)
     _add_common(sub, net=False)
     sub.set_defaults(fn=_cmd_game)
 
@@ -444,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--schedule", default="1,10,100")
     sub.add_argument("--epsilon", type=float, default=0.1)
     sub.add_argument("--window", type=int, default=24)
-    sub.add_argument("--samples", type=int, default=40)
+    sub.add_argument("--samples", type=_at_least(0), default=40)
     _add_common(sub, net=False)
     sub.set_defaults(fn=_cmd_stabilized)
 

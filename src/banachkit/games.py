@@ -191,6 +191,8 @@ def play(spec: SpaceSpec, subspace: Strategy, vector: Strategy, n: int) -> GameT
         raise ProtocolViolationError("subspace-player", f"strategy {subspace.name} has wrong role")
     if vector.role != "vector-player":
         raise ProtocolViolationError("vector-player", f"strategy {vector.name} has wrong role")
+    if n < 0:
+        raise ValueError(f"rounds must be >= 0, got {n}")
     rounds: list[tuple[int, SparseVector]] = []
     for _ in range(n):
         cutoff = subspace.rule(list(rounds), spec)
@@ -416,6 +418,8 @@ def asymptotic_lp_verdict(
     if not schedule:
         raise ValueError("need a nonempty cutoff schedule")
     _check_epsilon(epsilon)
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     schedule = sorted(schedule)
     if net is None:
         net = ScalarNet.grid(step=0.25, max_len=n)

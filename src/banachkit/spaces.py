@@ -196,11 +196,13 @@ def _check_exponent(p: float) -> float:
 
 # Coordinates: every kind measures a vector through one formula,
 # ``coordinate_norm``, applied to its nonzero coordinates as (key, value)
-# pairs.  The key is whatever the formula needs besides the value (the index,
-# or an LpSum segment); ``coordinates(v)`` computes the keys once.  For
-# vectors with successively increasing supports, the concatenated coordinates
-# are those of their sum, so a combination can be measured from its parts
-# without building it (``combination_norm``).
+# pairs.  The key is whatever the formula needs besides the value: ``None``
+# for Lp and C0, whose formulas read values only, the index for James, an
+# LpSum segment; ``coordinates(v)`` computes the keys once.  Vectors with
+# equal coordinate lists are interchangeable for every norm computed from
+# them (``norm_quantization_coloring`` relies on it).  For vectors with successively increasing supports, the
+# concatenated coordinates are those of their sum, so a combination can be
+# measured from its parts without building it (``combination_norm``).
 
 
 class _Space:
@@ -215,7 +217,7 @@ class _Space:
         A list, not a tuple: short-lived tuples of many lengths would fill
         the interpreter's per-length tuple free lists and hold on to memory.
         """
-        return list(v._entries.items())
+        return [(None, c) for c in v._entries.values()]
 
     def coordinate_norm(self, coords) -> float:
         """The norm of the vector whose nonzero coordinates are ``coords``."""
@@ -438,6 +440,9 @@ class James(_Space):
     """
 
     unconditional = False
+
+    def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
+        return list(v._entries.items())
 
     def _candidates(self, coords) -> list[float]:
         # Consecutive equal values are interchangeable for the supremum, so

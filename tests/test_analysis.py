@@ -1,8 +1,10 @@
 """Goodness verdicts, spreading estimates, equivalence constants,
 extraction, stabilization, and the Krivine slope estimator."""
 
+import dataclasses
 import json
 import math
+import statistics
 from random import Random
 
 import pytest
@@ -45,6 +47,7 @@ from banachkit.spaces import (
     Lp,
     LpSum,
     SparseVector,
+    combination_norm,
     make_example_space,
     norm,
     type_p_witness,
@@ -625,3 +628,269 @@ class TestSandwichAgainstVectorPath:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
             assert rng.getstate() == oracle_rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: norm-quantization colorings memoized by block class
+# against the memo-free coloring they replaced, copied here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_quantization_coloring(spec, coeffs, quantum):
+    coeffs = tuple(float(c) for c in coeffs)
+    coords_cache = {}
+
+    def nccb_coordinates(block):
+        key = block.elements
+        if key not in coords_cache:
+            indicator = SparseVector.indicator(key)
+            coords_cache[key] = spec.coordinates(indicator.scale(1.0 / spec.norm(indicator)))
+        return coords_cache[key]
+
+    def fn(blocks):
+        parts = [nccb_coordinates(b) if a != 0.0 else () for a, b in zip(coeffs, blocks)]
+        value = combination_norm(spec, coeffs, parts)
+        return int(math.floor(round(value, 12) / quantum))
+
+    return fn
+
+
+CLASS_SPACES = {
+    "lp1": Lp(1.0),
+    "lp1.5": Lp(1.5),
+    "lp2": Lp(2.0),
+    "lpinf": Lp(math.inf),
+    "c0": C0(),
+    "example": make_example_space(2.0, 3, [1.0, 1.5, 1.8]),
+    # segments {1, 2}, {3, 4, 5}, {6..10}: blocks of {1..10} cross them
+    "lp_sum-crossing": LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5)),
+    "interleave-lp-c0": Interleave(Lp(1.5), C0(), "sum"),
+    "interleave-lp-james": Interleave(Lp(2.0), James(), "max"),
+    "james": James(),
+}
+
+
+@st.composite
+def blockings_of_ten(draw, arity):
+    """A blocking of ``arity`` blocks, drawn from the subsets of {1..10}."""
+    elements = sorted(draw(st.lists(st.integers(1, 10), min_size=arity, max_size=10, unique=True)))
+    cuts = sorted(draw(st.permutations(range(1, len(elements))))[: arity - 1])
+    bounds = [0, *cuts, len(elements)]
+    return tuple(FiniteSet(elements[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+coloring_coefficient = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -0.5)),
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+)
+
+
+@st.composite
+def coloring_cases(draw):
+    """Colorings of one arity (coefficients, quantum) and blockings to color."""
+    arity = draw(st.integers(1, 3))
+    colorings = draw(
+        st.lists(
+            st.tuples(
+                st.lists(coloring_coefficient, min_size=arity, max_size=arity),
+                st.sampled_from((0.05, 0.1, 0.3, 1.0)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    blockings = draw(st.lists(blockings_of_ten(arity), min_size=1, max_size=12))
+    return colorings, blockings
+
+
+def class_tuple(spec, coeffs, blocks):
+    """The blocks' coordinate lists, None under a zero coefficient."""
+    ys = nccb_from_blocking(spec, Blocking(blocks))
+    return tuple(tuple(spec.coordinates(y)) if a != 0.0 else None for a, y in zip(coeffs, ys))
+
+
+class TestColoringClassMemo:
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=40, deadline=None)
+    @given(case=coloring_cases())
+    def test_colors_match_the_memo_free_coloring(self, name, case):
+        spec = CLASS_SPACES[name]
+        colorings, blockings = case
+        cache = {}  # shared by every coloring, whatever its coefficients and quantum
+        for coeffs, quantum in colorings:
+            coloring = norm_quantization_coloring(spec, coeffs, quantum, 10, cache=cache)
+            oracle = oracle_quantization_coloring(spec, coeffs, quantum)
+            for blocks in blockings + blockings:  # the second pass hits the memo
+                assert coloring.of_blocking(blocks) == oracle(blocks)
+
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=25, deadline=None)
+    @given(case=coloring_cases())
+    def test_blocks_share_a_class_exactly_when_their_coordinates_are_equal(self, name, case):
+        spec = CLASS_SPACES[name]
+        colorings, blockings = case
+        cache = {}
+        for coeffs, quantum in colorings:
+            coloring = norm_quantization_coloring(spec, coeffs, quantum, 10, cache=cache)
+            for blocks in blockings:
+                coloring.of_blocking(blocks)
+        classes, _ = cache[None]
+        measured = [elements for elements in cache if elements is not None]
+        for elements in measured:
+            indicator = SparseVector.indicator(elements)
+            coords = spec.coordinates(indicator.scale(1.0 / spec.norm(indicator)))
+            assert list(classes[cache[elements]]) == coords
+        # one stored list per class, and every class has a block
+        assert len(set(classes)) == len(classes)
+        assert {cache[elements] for elements in measured} == set(range(len(classes)))
+
+    def test_zero_coefficient_blocks_are_never_normalized(self):
+        spec = LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5))
+        near, far = FiniteSet([2]), FiniteSet([spec.total_dim + 1])
+        cache = {}
+        coloring = norm_quantization_coloring(spec, (1.0, 0.0), 0.05, 20, cache=cache)
+        # the second block lies past the space, so measuring it would raise
+        assert coloring.of_blocking([FiniteSet([1]), far]) == coloring.of_blocking([FiniteSet([1]), near])
+        assert far.elements not in cache and near.elements not in cache
+        with pytest.raises(InvalidVectorError):
+            norm_quantization_coloring(spec, (1.0, 1.0), 0.05, 20, cache=cache).of_blocking([FiniteSet([1]), far])
+
+    def test_example_space_runs_the_kernel_once_per_class_tuple(self, monkeypatch):
+        spec = make_example_space(2.0, 3, [1.0, 1.5, 1.8])
+        net = ScalarNet.grid(0.5, 2)
+        kernel_calls = [0]
+        real_kernel = analysis.combination_norm
+
+        def counted_kernel(*args):
+            kernel_calls[0] += 1
+            return real_kernel(*args)
+
+        colorings = []  # per coloring: class tuples seen, kernel calls made
+        real_coloring = analysis.norm_quantization_coloring
+
+        def recorded(spec, coeffs, *args, **kwargs):
+            coloring = real_coloring(spec, coeffs, *args, **kwargs)
+            seen, calls = set(), [0]
+            colorings.append((seen, calls))
+
+            def fn(blocks):
+                seen.add(class_tuple(spec, coeffs, blocks))
+                before = kernel_calls[0]
+                color = coloring.fn(blocks)
+                calls[0] += kernel_calls[0] - before
+                return color
+
+            return dataclasses.replace(coloring, fn=fn)
+
+        monkeypatch.setattr(analysis, "combination_norm", counted_kernel)
+        monkeypatch.setattr(analysis, "norm_quantization_coloring", recorded)
+        result = nccb_stabilize(spec, 8, net, epsilon=0.1, quantum=0.05)
+        assert verify_stabilization(spec, result, net)
+        assert result.blocking.encode() == "3|4|5|6|7|8"
+        assert len(colorings) == 28 + 10  # every tuple, then one per sign family
+        for seen, calls in colorings:
+            assert calls[0] == len(seen)
+        assert kernel_calls[0] == sum(len(seen) for seen, _ in colorings)
+
+    @pytest.mark.parametrize(
+        "spec, shared, apart",
+        [
+            (Lp(1.5), [(1, 2), (4, 5), (9, 10)], [(1,), (1, 2, 3)]),
+            (C0(), [(1, 2), (6, 7)], [(1,), (3, 4, 5)]),
+            (make_example_space(2.0, 3, [1.0, 1.5, 1.8]), [(3, 4), (5, 6), (60, 61)], [(1, 2), (2, 3), (67, 68)]),
+            (LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5)), [(3, 4), (4, 5)], [(2, 3), (5, 6), (6, 7)]),
+            (Interleave(Lp(1.5), C0(), "sum"), [(1, 2), (2, 3), (5, 6)], [(1, 3), (2, 4)]),
+            # equal sizes at different positions: James reads the gaps and positions
+            (James(), [], [(1, 2), (4, 5), (7, 8)]),
+            (Interleave(Lp(2.0), James(), "max"), [], [(1, 2), (3, 4)]),
+        ],
+        ids=["lp", "c0", "example", "lp_sum-crossing", "interleave-lp-c0", "james", "interleave-lp-james"],
+    )
+    def test_class_sharing(self, spec, shared, apart):
+        # the blocks in ``shared`` have one class; every block in ``apart`` has its own
+        cache = {}
+        coloring = norm_quantization_coloring(spec, (1.0,), 0.05, 100, cache=cache)
+        for elements in shared + apart:
+            coloring.of_blocking([FiniteSet(elements)])
+        assert len({cache[elements] for elements in shared}) == len(shared[:1])
+        ids = [cache[elements] for elements in shared[:1] + apart]
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.parametrize("spec", [Lp(1.0), Lp(1.5), Lp(2.0), Lp(math.inf), C0()])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entries=st.dictionaries(
+            st.integers(1, 40), st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=8
+        )
+    )
+    def test_value_only_coordinates_keep_the_norm(self, spec, entries):
+        v = SparseVector(entries)
+        coords = spec.coordinates(v)
+        assert coords == [(None, c) for c in v.entries.values()]
+        assert spec.norm(v) == spec.coordinate_norm(coords)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the Krivine estimate through the kernel against the
+# prefix-sum SparseVector path it replaced, copied here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_krivine_p_estimate(spec, max_n, start=1):
+    if max_n < 4:
+        raise ValueError("need max_n >= 4 for a meaningful fit")
+    blocking = Blocking([FiniteSet([start + i]) for i in range(max_n)])
+    ys = nccb_from_blocking(spec, blocking)
+    norms = []
+    total = SparseVector()
+    for v in ys:
+        total = total + v
+        norms.append(spec.norm(total))
+    xs = [math.log(n) for n in range(1, max_n + 1)]
+    logs = [math.log(max(v, 1e-300)) for v in norms]
+    monotone = all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
+    if max(logs) - min(logs) < 1e-12:
+        return analysis.KrivineReport(math.inf, 0.0, 1.0, tuple(norms), monotone, start, max_n)
+    slope = statistics.linear_regression(xs, logs).slope
+    try:
+        r_squared = statistics.correlation(xs, logs) ** 2
+    except statistics.StatisticsError:
+        r_squared = 1.0
+    p = math.inf if slope <= 1e-12 else 1.0 / slope
+    return analysis.KrivineReport(p, slope, r_squared, tuple(norms), monotone, start, max_n)
+
+
+KRIVINE_SPACES = [
+    Lp(1.0),
+    Lp(1.5),
+    Lp(2.0),
+    Lp(3.0),
+    Lp(math.inf),
+    C0(),
+    make_example_space(2.0, 3, [1.0, 1.5, 1.8]),
+    LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5)),
+    Interleave(Lp(1.0), Lp(2.0), "max"),
+    Interleave(LpSum(2.0, (1.0, 1.5), (2, 40)), C0(), "sum"),
+    Interleave(Lp(1.0), James(), "max"),
+    James(),
+]
+
+
+class TestKrivineAgainstVectorPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(KRIVINE_SPACES),
+        max_n=st.integers(4, 24),
+        start=st.integers(1, 80),
+    )
+    def test_report_is_identical(self, spec, max_n, start):
+        outcomes = []
+        for estimate in (krivine_p_estimate, oracle_krivine_p_estimate):
+            try:
+                outcomes.append(estimate(spec, max_n, start=start))
+            except InvalidVectorError as exc:  # singletons past a short LpSum
+                outcomes.append(str(exc))
+        report, expected = outcomes
+        assert report == expected
+        if not isinstance(report, str):
+            assert report_bytes(report) == report_bytes(expected)

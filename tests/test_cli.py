@@ -250,6 +250,48 @@ class TestAnalysisCommands:
         assert out == ""
         assert "--net-step: must be a finite number > 0" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["equivalence", "--space", LP2, "--blocking", "1|2|3", "--ref-n", "0"], "--ref-n: must be an integer >= 1"),
+            (["equivalence", "--space", LP2, "--blocking", "1|2|3", "--ref-n", "-1"], "--ref-n: must be an integer >= 1"),
+            (["equivalence", "--space", LP2, "--blocking", "1|2|3", "--ref-n", "x"], "--ref-n: must be an integer >= 1"),
+            (
+                ["stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--samples", "-3"],
+                "--samples: must be an integer >= 0",
+            ),
+            (["game", "--space", LP2, "--rounds", "-2"], "--rounds: must be an integer >= 0"),
+        ],
+    )
+    def test_count_below_its_minimum_is_usage_error(self, monkeypatch, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with an invalid count")
+
+        for name in ("equivalence_constant", "asymptotic_lp_verdict", "play"):
+            monkeypatch.setattr(cli, name, never)
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("ref_n, expected", [(None, 3), ("1", 1), ("2", 2)])
+    def test_ref_n_is_used_as_given(self, ref_n, expected):
+        argv = ["equivalence", "--space", LP2, "--blocking", "1|2|3"]
+        code, doc = run_json(*argv, *([] if ref_n is None else ["--ref-n", ref_n]))
+        assert code == 0
+        assert doc["config"]["ref-n"] == (None if ref_n is None else int(ref_n))
+        assert doc["result"]["n"] == doc["result"]["reference"]["n"] == expected
+
+    def test_zero_counts_are_accepted(self):
+        code, doc = run_json("game", "--space", LP2, "--rounds", "0")
+        assert code == 0
+        assert doc["result"]["moves"] == []
+        code, doc = run_json(
+            "stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--samples", "0"
+        )
+        assert code == 0
+        assert doc["config"]["samples"] == 0
+
     def test_krivine(self):
         code, doc = run_json("krivine-p", "--space", '{"kind":"lp","p":3}')
         assert code == 0

@@ -51,6 +51,22 @@ class TestPlay:
             assert y.min_index() >= 1
             assert abs(norm(Lp(2.0), y) - 1.0) <= 1e-9
 
+    def test_negative_rounds_rejected_before_play(self):
+        def never(history, *args):
+            raise AssertionError("played with a negative round count")
+
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            play(
+                Lp(2.0),
+                Strategy("subspace-player", "never", never),
+                Strategy("vector-player", "never", never),
+                -2,
+            )
+
+    def test_zero_rounds_give_an_empty_transcript(self):
+        t = play(Lp(2.0), subspace_tail(1), vector_unit(), 0)
+        assert t.moves == ()
+
     def test_cutoffs_respected(self):
         t = play(Lp(2.0), subspace_constant(5), vector_unit(), 2)
         assert all(y.min_index() >= 5 for _, y in t.moves)
@@ -172,6 +188,14 @@ class TestAsymptoticVerdict:
         monkeypatch.setattr(games, "_tuple_pool", no_pool)
         with pytest.raises(ValueError, match="epsilon must be finite"):
             asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [1, 3], epsilon=epsilon, samples=5)
+
+    def test_negative_samples_rejected_before_sampling(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sampled with a negative sample count")
+
+        monkeypatch.setattr(games, "_tuple_pool", no_pool)
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [1, 3], epsilon=0.1, samples=-3)
 
     def test_reports_carry_pool_parameters(self):
         verdict = asymptotic_lp_verdict(Lp(1.0), 1.0, 2, [1, 4], epsilon=0.1, samples=10)

@@ -6,7 +6,10 @@ change to a verdict, certificate, color, node count or float changes them.
 Their argument lists are the benchmark's workloads at seed 0, copied here on
 purpose.  The James stabilization was hashed before the searches moved to
 cached subset tables and verify to one pass per sign family; James is not
-unconditional, so its verify still recolors every tuple.
+unconditional, so its verify still recolors every tuple.  The l_p, c_0 and
+interleaved stabilizations and the norm-quantized Milliken-Taylor search were
+hashed before norm-quantization colorings began to memoize colors by block
+class and Lp/C0 coordinates lost their index keys.
 """
 
 import hashlib
@@ -52,6 +55,35 @@ GOLDEN = {
             "--net-step", "0.5", "--max-n", "2", "--verify",
         ],
         "1ade565d4d57127abb9dbc7314851e521c36e2e786fae6631f134f1546dee4d7",
+    ),
+    "stabilize-lp": (
+        [
+            "stabilize-nccb", "--space", '{"kind":"lp","p":1.5}', "--M", "10",
+            "--net-step", "0.5", "--max-n", "2", "--verify",
+        ],
+        "a28c3d2e251017113391671d45532d47bce94f86de03f282de0773a487cc5e22",
+    ),
+    "stabilize-c0": (
+        [
+            "stabilize-nccb", "--space", '{"kind":"c0"}', "--M", "10",
+            "--net-step", "0.5", "--max-n", "2", "--verify",
+        ],
+        "d63d8a1ef53fd95c7d2cfcc230fab6ce519407d3f4562136a0e8ea01f4a4af46",
+    ),
+    "stabilize-interleave": (
+        [
+            "stabilize-nccb", "--space",
+            '{"kind":"interleave","a":{"kind":"lp","p":1},"b":{"kind":"lp","p":2}}',
+            "--M", "10", "--net-step", "0.5", "--max-n", "2", "--verify",
+        ],
+        "b01b2c745e87ec96cec8c8ee1d08893e9aa7ce1f0973b815b7863c4514d70f62",
+    ),
+    "milliken-norm-quant": (
+        [
+            "milliken", "--coloring", "norm-quant", "--P", "singletons:8",
+            "--k", "2", "--L", "4", "--space", EXAMPLE_SPACE,
+        ],
+        "d292d8177def7a59255b072722559568dda2c7e6039dd137e108c9922a45cf6d",
     ),
 }
 

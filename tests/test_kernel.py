@@ -382,5 +382,5 @@ class TestQuantizedColoring:
             ys = nccb_from_blocking(spec, blocking)
             value = plain_norm(spec, ys, coeffs, range(1, len(coeffs) + 1))
             assert coloring.of_blocking(list(blocking)) == int(math.floor(round(value, 12) / 0.05))
-        # the cache holds coordinates in place of vectors
+        # the cache holds class ids and class coordinates, no vectors
         assert cache and not any(isinstance(coords, SparseVector) for coords in cache.values())
