@@ -223,7 +223,7 @@ def _record_for_tuple(
     with equal values, and between sign patterns when ``norm_of`` is
     unconditional.  The record itself always carries ``coeffs``."""
     n = len(coeffs)
-    feasible = K >= 1 and K + H <= len(norm_of.seq) and n <= H + 1
+    feasible = K + H <= len(norm_of.seq) and n <= H + 1
     if not feasible:
         return GoodnessRecord(tuple(coeffs), K, H, False, None, None, None, None, 0)
     key = (_sign_free(coeffs) if norm_of.unconditional else tuple(coeffs), K, H)
@@ -256,14 +256,17 @@ def goodness_test(
     """Measure per-tuple oscillation of combination norms over a window.
 
     For each net tuple of length n, evaluates ||sum a_i y_{k_i}|| over every
-    increasing n-tuple with K <= k_1 and k_n <= K + H.  The verdict is
-    good-within-tolerance iff every oscillation is <= epsilon; any window
-    that does not fit the sequence makes the verdict inconclusive.
+    increasing n-tuple with K <= k_1 and k_n <= K + H, where K >= 1 and
+    H >= 0.  The verdict is good-within-tolerance iff every oscillation is
+    <= epsilon; any window that does not fit the sequence makes the verdict
+    inconclusive.
     """
     _check_epsilon(epsilon)
     seq = list(seq)
     if H is None:
         H = 3 * net.max_len
+    if K < 1 or H < 0:
+        raise ValueError(f"window needs K >= 1 and H >= 0, got K={K}, H={H}")
     norm_of = CombinationNorm(spec, seq)
     memo: dict = {}
     records = tuple(_record_for_tuple(norm_of, t, K, H, memo) for t in net.tuples)
@@ -360,6 +363,8 @@ def spreading_model_estimate(
         H = 3 * net.max_len
     if not horizons:
         raise ValueError("need at least one horizon")
+    if H < 0 or min(horizons) < 1:
+        raise ValueError(f"need H >= 0 and every horizon >= 1, got H={H}, horizons={list(horizons)}")
     norm_of = CombinationNorm(spec, seq)
     memo: dict = {}
     records = []

@@ -309,6 +309,8 @@ def _cmd_milliken(args) -> int:
         P = Blocking.singletons(int(args.P.split(":", 1)[1]))
     else:
         P = Blocking.parse(args.P)
+    if not len(P):
+        raise UsageError("--P must have at least one block (singletons:M needs M >= 1)")
     ground = P[-1].max()
     coloring = _coloring_from_args(args, "blocking", ground, spec=spec, arity=args.k)
     cert = milliken_taylor_search(coloring, P, args.k, args.L)
@@ -359,6 +361,8 @@ def _horizon(text: str) -> tuple[int, int]:
     parts = _parse_ints(text)
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("horizon must be K,H")
+    if parts[0] < 1 or parts[1] < 0:
+        raise argparse.ArgumentTypeError(f"horizon needs K >= 1 and H >= 0, got {text!r}")
     return parts[0], parts[1]
 
 
@@ -431,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--space", required=True)
     _add_sequence_args(sub)
     sub.add_argument("--horizons", required=True, help="e.g. '1,3,68'")
-    sub.add_argument("--window", type=int, default=None)
+    sub.add_argument("--window", type=_at_least(0), default=None)
     sub.add_argument("--fit-p", action="store_true")
     _add_common(sub)
     sub.set_defaults(fn=_cmd_spreading)

@@ -5,8 +5,9 @@ each set lies entirely below the next.  A blocking F is *coarser* than E
 when every block of F is a union of (not necessarily consecutive) blocks of
 E; F need not use all of E's blocks.  Under this reading the length-1
 coarsenings of the singleton blocking of {1..M} are exactly the nonempty
-subsets of {1..M}, which is what makes the Hindman search the arity-1 case
-of the Milliken-Taylor search.
+subsets of {1..M}, so Hindman's theorem is the arity-1 case of the
+Milliken-Taylor theorem.  The two searches query unions in different orders,
+so they give the same certificate only for colorings that are pure functions.
 
 The searches are depth-first backtracking over a finite ground set with
 incremental certificate checking: a partial witness is abandoned the moment
@@ -168,7 +169,9 @@ class Coloring:
 
     ``kind`` is ``"set"`` (domain: nonempty subsets, or k-subsets for the
     Ramsey search) or ``"blocking"`` (domain: length-``arity`` blockings).
-    ``fn`` must be deterministic and total on the relevant domain.
+    ``fn`` must be deterministic and total on the relevant domain.  Each
+    search queries it in a fixed order, which the differential tests pin, so a
+    coloring built lazily as it is queried still gives reproducible results.
     """
 
     kind: str
@@ -381,6 +384,52 @@ def diagonal(nested: Sequence[Blocking]) -> Blocking:
 # ---------------------------------------------------------------------------
 
 
+def _search(
+    n: int,
+    L: int,
+    candidates: Callable[[int], Iterable[tuple[int, ...]]],
+    colors: Callable[[tuple[tuple[int, ...], ...]], Iterable[int]],
+    witness: Callable[[tuple[tuple[int, ...], ...]], Blocking | FiniteSet],
+) -> SearchCertificate:
+    """Depth-first search for L successively increasing sets in {1..n}.
+
+    ``candidates(lo)`` gives the sets that may come next, inside {lo..n}, in
+    the order they are tried.  ``colors(chosen)`` yields, in query order, the
+    colors of the objects completed by the last set of ``chosen``; a branch is
+    pruned at the first color unlike the first color on its path.  Calls come
+    in depth-first order, so ``colors`` may keep state for the current path,
+    cut back to the depth of ``chosen`` on each call.  The first path of
+    length L is ``witness(chosen)``.
+    """
+    nodes = 0
+
+    def extend(chosen: tuple[tuple[int, ...], ...], target: int | None, lo: int) -> SearchCertificate | None:
+        nonlocal nodes
+        if len(chosen) == L:
+            return SearchCertificate(True, witness(chosen), target, nodes)
+        for subset in candidates(lo):
+            # sets above max(subset) must still host the remaining sets
+            if n - subset[-1] < L - len(chosen) - 1:
+                continue
+            nodes += 1
+            extended = chosen + (subset,)
+            new_target = target
+            for c in colors(extended):
+                if new_target is None:
+                    new_target = c
+                elif c != new_target:
+                    break
+            else:
+                if (cert := extend(extended, new_target, subset[-1] + 1)) is not None:
+                    return cert
+        return None
+
+    cert = extend((), None, 1)
+    # as in coarsenings: free the memos and the coloring's caches now
+    del extend
+    return cert if cert is not None else SearchCertificate(False, None, None, nodes)
+
+
 def ramsey_search(coloring: Coloring, k: int, L: int) -> SearchCertificate:
     """Exhaustive search for an L-subset of {1..M} monochromatic on k-subsets.
 
@@ -394,50 +443,16 @@ def ramsey_search(coloring: Coloring, k: int, L: int) -> SearchCertificate:
     if L < k or k < 1:
         raise ValueError(f"need 1 <= k <= L, got k={k}, L={L}")
     M = coloring.ground
-    nodes = 0
 
-    def color_of(subset: tuple[int, ...]) -> int:
-        return coloring.of_set(FiniteSet(subset))
+    def colors(chosen: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+        # the k-subsets completed by the new element, in combinations order
+        for prefix in combinations([e for (e,) in chosen[:-1]], k - 1):
+            yield coloring.of_set(FiniteSet(prefix + chosen[-1]))
 
-    best: list[SearchCertificate] = []
-
-    def extend(chosen: tuple[int, ...], target: int | None) -> bool:
-        nonlocal nodes
-        if len(chosen) == L:
-            best.append(
-                SearchCertificate(True, FiniteSet(chosen), target, nodes)
-            )
-            return True
-        lo = chosen[-1] + 1 if chosen else 1
-        for candidate in range(lo, M + 1):
-            if M - candidate < L - len(chosen) - 1:
-                break
-            nodes += 1
-            extended = chosen + (candidate,)
-            new_target = target
-            ok = True
-            if len(extended) >= k:
-                for prefix in combinations(extended[:-1], k - 1):
-                    c = color_of(tuple(sorted(prefix + (candidate,))))
-                    if new_target is None:
-                        new_target = c
-                    elif c != new_target:
-                        ok = False
-                        break
-            if ok and extend(extended, new_target):
-                return True
-        return False
-
-    if extend((), None):
-        return best[0]
-    return SearchCertificate(False, None, None, nodes)
-
-
-def _unions_with(block: FiniteSet, earlier_unions: Sequence[FiniteSet]) -> Iterator[FiniteSet]:
-    """The new finite unions created by appending ``block``."""
-    yield block
-    for u in earlier_unions:
-        yield u.union(block)
+    return _search(
+        M, L, lambda lo: ((e,) for e in range(lo, M + 1)), colors,
+        lambda chosen: FiniteSet(e for (e,) in chosen),
+    )
 
 
 def hindman_search(coloring: Coloring, M: int, L: int) -> SearchCertificate:
@@ -452,37 +467,22 @@ def hindman_search(coloring: Coloring, M: int, L: int) -> SearchCertificate:
         raise ValueError("hindman_search needs a set coloring")
     if L < 1:
         raise ValueError("need L >= 1")
-    nodes = 0
-    best: list[SearchCertificate] = []
+    # unions of the current path's blocks in creation order: the j-th block
+    # adds itself and its union with each earlier union, so the first j - 1
+    # blocks own the first 2^(j-1) - 1 entries
+    unions: list[FiniteSet] = []
 
-    def extend(chosen: list[FiniteSet], unions: list[FiniteSet], target: int | None, lo: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == L:
-            best.append(SearchCertificate(True, Blocking(chosen), target, nodes))
-            return True
-        for subset in _subsets_from(lo, M):
-            if M - subset[-1] < L - len(chosen) - 1:
-                continue
-            nodes += 1
-            block = FiniteSet._trusted(subset)
-            new_target = target
-            new_unions = []
-            ok = True
-            for u in _unions_with(block, unions):
-                c = coloring.of_set(u)
-                if new_target is None:
-                    new_target = c
-                elif c != new_target:
-                    ok = False
-                    break
-                new_unions.append(u)
-            if ok and extend(chosen + [block], unions + new_unions, new_target, subset[-1] + 1):
-                return True
-        return False
+    def colors(chosen: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+        del unions[(1 << (len(chosen) - 1)) - 1 :]
+        earlier = len(unions)
+        block = FiniteSet._trusted(chosen[-1])
+        unions.append(block)
+        yield coloring.of_set(block)
+        for i in range(earlier):
+            unions.append(unions[i].union(block))
+            yield coloring.of_set(unions[-1])
 
-    if extend([], [], None, 1):
-        return best[0]
-    return SearchCertificate(False, None, None, nodes)
+    return _search(M, L, lambda lo: _subsets_from(lo, M), colors, Blocking)
 
 
 def _arity_tuples_with_last(j: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -533,7 +533,9 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
     of P-block indices; each time a block is added, every length-k
     coarsening of the partial witness that uses the new block is recolored,
     and the branch is pruned on the first mismatch.  With k = 1 and P the
-    singleton blocking this reduces exactly to the Hindman search.
+    singleton blocking this finds the Hindman search's certificate when the
+    coloring is a pure function; it queries unions in lexicographic order of
+    their index sets, where the Hindman search goes in creation order.
     """
     if coloring.kind != "blocking":
         raise ValueError("milliken_taylor_search needs a blocking coloring")
@@ -542,46 +544,24 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
     _check_arity(coloring, k)
     n = len(P)
     unions = _Unions(P)
-    nodes = 0
-    best: list[SearchCertificate] = []
 
-    def extend(chosen: list[tuple[int, ...]], target: int | None, lo: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == L:
-            witness = Blocking._trusted(tuple(unions[s] for s in chosen))
-            best.append(SearchCertificate(True, witness, target, nodes))
-            return True
-        for subset in _subsets_from(lo, n):
-            if n - subset[-1] < L - len(chosen) - 1:
-                continue
-            nodes += 1
-            candidate = chosen + [subset]
-            j = len(candidate)
-            new_target = target
-            ok = True
-            if j >= k:
-                for meta in _arity_tuples(j, k):
-                    # meta indexes into the candidate prefix; expand twice
-                    blocks = []
-                    for meta_set in meta:
-                        merged: tuple[int, ...] = ()
-                        for mi in meta_set:
-                            merged += candidate[mi - 1]
-                        blocks.append(unions[merged])
-                    c = coloring.of_blocking(blocks)
-                    if new_target is None:
-                        new_target = c
-                    elif c != new_target:
-                        ok = False
-                        break
-            if ok and extend(candidate, new_target, subset[-1] + 1):
-                return True
-        return False
+    def colors(chosen: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+        if len(chosen) < k:
+            return
+        for meta in _arity_tuples(len(chosen), k):
+            # meta indexes into chosen; expand twice
+            blocks = []
+            for meta_set in meta:
+                merged: tuple[int, ...] = ()
+                for mi in meta_set:
+                    merged += chosen[mi - 1]
+                blocks.append(unions[merged])
+            yield coloring.of_blocking(blocks)
 
-    found = extend([], None, 1)
-    # as in coarsenings: free the memo and the coloring's caches now
-    del extend
-    return best[0] if found else SearchCertificate(False, None, None, nodes)
+    return _search(
+        n, L, lambda lo: _subsets_from(lo, n), colors,
+        lambda chosen: Blocking._trusted(tuple(unions[s] for s in chosen)),
+    )
 
 
 # ---------------------------------------------------------------------------

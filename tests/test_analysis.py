@@ -439,6 +439,23 @@ class TestTolerances:
             nccb_stabilize(Lp(2.0), 1, ScalarNet.of([(1.0, 1.0)]), epsilon=epsilon, quantum=quantum)
 
 
+class TestWindows:
+    @pytest.mark.parametrize("K, H", [(0, 2), (-1, 2), (1, -1)])
+    def test_goodness_window_must_start_at_one(self, K, H):
+        with pytest.raises(ValueError, match="K >= 1 and H >= 0"):
+            goodness_test(Lp(2.0), lp_units(6), ScalarNet.of([(1.0,)]), K=K, H=H)
+
+    @pytest.mark.parametrize("horizons, H", [([1, 2], -2), ([0, 2], 3), ([-1], None)])
+    def test_spreading_horizons_and_window_are_checked(self, horizons, H):
+        with pytest.raises(ValueError, match="H >= 0 and every horizon >= 1"):
+            spreading_model_estimate(Lp(2.0), lp_units(6), ScalarNet.of([(1.0,)]), horizons, H=H)
+
+    def test_zero_width_window_is_allowed(self):
+        report = goodness_test(Lp(2.0), lp_units(6), ScalarNet.of([(1.0,), (1.0, 1.0)]), K=1, H=0)
+        assert [r.feasible for r in report.records] == [True, False]
+        assert report.verdict == VERDICT_INCONCLUSIVE
+
+
 class TestKrivine:
     def test_lp_exact(self):
         for p in (1.0, 2.0, 3.0):

@@ -261,13 +261,30 @@ class TestAnalysisCommands:
                 "--samples: must be an integer >= 0",
             ),
             (["game", "--space", LP2, "--rounds", "-2"], "--rounds: must be an integer >= 0"),
+            (
+                ["spreading", "--space", LP2, "--blocking", "1|2|3|4", "--horizons", "1", "--window", "-2"],
+                "--window: must be an integer >= 0",
+            ),
+            (["goodness", "--space", LP2, "--blocking", "1|2|3|4", "--horizon", "0,2"], "horizon needs K >= 1 and H >= 0"),
+            (["goodness", "--space", LP2, "--blocking", "1|2|3|4", "--horizon", "1,-1"], "horizon needs K >= 1 and H >= 0"),
+            (
+                ["milliken", "--coloring", "constant", "--P", "singletons:0", "--k", "1", "--L", "1"],
+                "--P must have at least one block",
+            ),
+            (
+                ["milliken", "--coloring", "constant", "--P", "singletons:-3", "--k", "1", "--L", "1"],
+                "--P must have at least one block",
+            ),
         ],
     )
     def test_count_below_its_minimum_is_usage_error(self, monkeypatch, argv, message):
         def never(*args, **kwargs):
             raise AssertionError("ran with an invalid count")
 
-        for name in ("equivalence_constant", "asymptotic_lp_verdict", "play"):
+        for name in (
+            "equivalence_constant", "asymptotic_lp_verdict", "play", "spreading_model_estimate",
+            "goodness_test", "milliken_taylor_search",
+        ):
             monkeypatch.setattr(cli, name, never)
         code, out, err = run_cli(*argv)
         assert code == 2
@@ -291,6 +308,12 @@ class TestAnalysisCommands:
         )
         assert code == 0
         assert doc["config"]["samples"] == 0
+        code, doc = run_json(
+            "spreading", "--space", LP2, "--blocking", "1|2|3|4", "--horizons", "1", "--window", "0"
+        )
+        assert code == 0
+        # a zero-width window hosts single vectors only
+        assert all(r["feasible"] == (len(r["coeffs"]) == 1) for r in doc["result"]["records"])
 
     def test_krivine(self):
         code, doc = run_json("krivine-p", "--space", '{"kind":"lp","p":3}')

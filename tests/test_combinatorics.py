@@ -1,6 +1,6 @@
 """Blocking operations and the three monochromatic searches."""
 
-from itertools import islice
+from itertools import combinations, islice
 from random import Random
 
 import pytest
@@ -455,6 +455,47 @@ def oracle_milliken_taylor_search(coloring, P, k, L):
     return SearchCertificate(False, None, None, nodes)
 
 
+def oracle_ramsey_search(coloring, k, L):
+    M = coloring.ground
+    nodes = 0
+
+    def color_of(subset):
+        return coloring.of_set(FiniteSet(subset))
+
+    best = []
+
+    def extend(chosen, target):
+        nonlocal nodes
+        if len(chosen) == L:
+            best.append(
+                SearchCertificate(True, FiniteSet(chosen), target, nodes)
+            )
+            return True
+        lo = chosen[-1] + 1 if chosen else 1
+        for candidate in range(lo, M + 1):
+            if M - candidate < L - len(chosen) - 1:
+                break
+            nodes += 1
+            extended = chosen + (candidate,)
+            new_target = target
+            ok = True
+            if len(extended) >= k:
+                for prefix in combinations(extended[:-1], k - 1):
+                    c = color_of(tuple(sorted(prefix + (candidate,))))
+                    if new_target is None:
+                        new_target = c
+                    elif c != new_target:
+                        ok = False
+                        break
+            if ok and extend(extended, new_target):
+                return True
+        return False
+
+    if extend((), None):
+        return best[0]
+    return SearchCertificate(False, None, None, nodes)
+
+
 def oracle_hindman_search(coloring, M, L):
     nodes = 0
     best = []
@@ -520,6 +561,21 @@ def random_blocking_coloring(rng, P, k, colors):
     return Coloring(kind="blocking", colors=colors, ground=P[-1].max(), fn=fn, arity=k)
 
 
+def lazy_set_coloring(M, seed, colors, by_min_and_size):
+    """A set coloring that draws each color the first time its key is
+    queried, so its colors, and the certificate, follow the query order."""
+    rng = Random(seed)
+    table = {}
+
+    def fn(E):
+        key = (E.min(), len(E) % 2) if by_min_and_size else E.elements
+        if key not in table:
+            table[key] = rng.randrange(colors)
+        return table[key]
+
+    return Coloring(kind="set", colors=colors, ground=M, fn=fn)
+
+
 def same_certificate(a, b):
     return (a.found, a.witness, a.color, a.nodes_explored) == (b.found, b.witness, b.color, b.nodes_explored)
 
@@ -565,22 +621,35 @@ class TestEnumerationAgainstRecursiveOracle:
         expected = oracle_milliken_taylor_search(coloring, P, k, L)
         assert same_certificate(milliken_taylor_search(coloring, P, k, L), expected)
 
+    # Each side gets its own lazy coloring from the same seed: the i-th new
+    # key queried draws the i-th color, so a changed query order shows.
+
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_hindman_search(self, data):
         M = data.draw(st.integers(1, 8))
         L = data.draw(st.integers(1, 4))
-        rng = Random(data.draw(st.integers(0, 2**32 - 1)))
-        colors = data.draw(st.integers(1, 3))
-        by_min_and_size = data.draw(st.booleans())
-        table = {}
+        args = (M, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 3)), data.draw(st.booleans()))
+        expected = oracle_hindman_search(lazy_set_coloring(*args), M, L)
+        assert same_certificate(hindman_search(lazy_set_coloring(*args), M, L), expected)
 
-        def fn(E):
-            key = (E.min(), len(E) % 2) if by_min_and_size else E.elements
-            if key not in table:
-                table[key] = rng.randrange(colors)
-            return table[key]
+    def test_hindman_search_seed_sweep(self):
+        # the same 300 cases on every run, whatever hypothesis draws; about
+        # one in seven changes its certificate if the unions are queried in
+        # another order
+        for seed in range(300):
+            rng = Random(seed)
+            M, L = rng.randint(1, 8), rng.randint(1, 4)
+            args = (M, seed, rng.randint(1, 3), rng.random() < 0.5)
+            expected = oracle_hindman_search(lazy_set_coloring(*args), M, L)
+            assert same_certificate(hindman_search(lazy_set_coloring(*args), M, L), expected), seed
 
-        coloring = Coloring(kind="set", colors=colors, ground=M, fn=fn)
-        expected = oracle_hindman_search(coloring, M, L)
-        assert same_certificate(hindman_search(coloring, M, L), expected)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_ramsey_search(self, data):
+        M = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(k, k + 3))
+        args = (M, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 3)), data.draw(st.booleans()))
+        expected = oracle_ramsey_search(lazy_set_coloring(*args), k, L)
+        assert same_certificate(ramsey_search(lazy_set_coloring(*args), k, L), expected)
