@@ -31,6 +31,7 @@ from .combinatorics import (
     Coloring,
     FiniteSet,
     SearchCertificate,
+    _Report,
     coarsenings,
     milliken_taylor_search,
     ramsey_search,
@@ -39,6 +40,8 @@ from .spaces import (
     LpSum,
     SparseVector,
     SpaceSpec,
+    _check_exponent,
+    _p_doc,
     _reject_coefficient,
     combination_norm,
     make_example_space,
@@ -137,7 +140,7 @@ def _window_tuples(K: int, H: int, n: int) -> Iterable[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class GoodnessRecord:
+class GoodnessRecord(_Report):
     coeffs: tuple[float, ...]
     K: int
     H: int
@@ -148,22 +151,9 @@ class GoodnessRecord:
     estimate: float | None
     evaluations: int
 
-    def to_doc(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs),
-            "K": self.K,
-            "H": self.H,
-            "feasible": self.feasible,
-            "sup": self.sup,
-            "inf": self.inf,
-            "oscillation": self.oscillation,
-            "estimate": self.estimate,
-            "evaluations": self.evaluations,
-        }
-
 
 @dataclass(frozen=True)
-class GoodnessReport:
+class GoodnessReport(_Report):
     records: tuple[GoodnessRecord, ...]
     verdict: str
     epsilon: float
@@ -177,16 +167,7 @@ class GoodnessReport:
         return max(values) if values else 0.0
 
     def to_doc(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "epsilon": self.epsilon,
-            "K": self.K,
-            "H": self.H,
-            "net": self.net.to_doc(),
-            "max_oscillation": self.max_oscillation(),
-            "diagnostics": list(self.diagnostics),
-            "records": [r.to_doc() for r in self.records],
-        }
+        return super().to_doc() | {"max_oscillation": self.max_oscillation()}
 
     def to_rows(self) -> list[list]:
         header = ["coeffs", "K", "H", "sup", "inf", "oscillation", "estimate"]
@@ -292,7 +273,7 @@ def goodness_test(
 
 
 @dataclass(frozen=True)
-class SpreadingRecord:
+class SpreadingRecord(_Report):
     coeffs: tuple[float, ...]
     horizon: int
     H: int
@@ -300,19 +281,9 @@ class SpreadingRecord:
     estimate: float | None
     oscillation: float | None
 
-    def to_doc(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs),
-            "horizon": self.horizon,
-            "H": self.H,
-            "feasible": self.feasible,
-            "estimate": self.estimate,
-            "oscillation": self.oscillation,
-        }
-
 
 @dataclass(frozen=True)
-class SpreadingEstimate:
+class SpreadingEstimate(_Report):
     records: tuple[SpreadingRecord, ...]
     horizons: tuple[int, ...]
     monotone_oscillation: bool
@@ -327,12 +298,7 @@ class SpreadingEstimate:
         ]
 
     def to_doc(self) -> dict:
-        return {
-            "horizons": list(self.horizons),
-            "monotone_oscillation": self.monotone_oscillation,
-            "fit_p": "inf" if self.fit_p == math.inf else self.fit_p,
-            "records": [r.to_doc() for r in self.records],
-        }
+        return super().to_doc() | {"fit_p": _p_doc(self.fit_p)}
 
     def to_rows(self) -> list[list]:
         rows = [["coeffs", "horizon", "H", "estimate", "oscillation"]]
@@ -422,6 +388,9 @@ class LpReference:
     p: float
     n: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "p", _check_exponent(self.p))
+
     def coeff_norm(self, coeffs: Sequence[float]) -> float:
         if self.p == math.inf:
             return max(abs(c) for c in coeffs)
@@ -432,7 +401,7 @@ class LpReference:
         return sum(abs(c) ** self.p for c in coeffs) ** (1.0 / self.p)
 
     def describe(self) -> dict:
-        return {"kind": "lp", "p": "inf" if self.p == math.inf else self.p, "n": self.n}
+        return {"kind": "lp", "p": _p_doc(self.p), "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -461,7 +430,7 @@ Reference = LpReference | SequenceReference
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Report):
     """Two-sided equivalence bounds between a block tuple and a reference.
 
     ``lower`` is the largest observed ratio reference/sequence, ``upper``
@@ -482,19 +451,6 @@ class EquivalenceReport:
     net_step: float | None
     net_error: float
     reference: dict
-
-    def to_doc(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "constant": self.constant,
-            "certificate_lower": list(self.certificate_lower),
-            "certificate_upper": list(self.certificate_upper),
-            "n": self.n,
-            "net_step": self.net_step,
-            "net_error": self.net_error,
-            "reference": self.reference,
-        }
 
 
 def equivalence_constant(
@@ -574,41 +530,22 @@ def _on_reference_sphere(coeffs: tuple[float, ...], reference: Reference) -> tup
 
 
 @dataclass(frozen=True)
-class ExtractionStep:
+class ExtractionStep(_Report):
     coeffs: tuple[float, ...]
     epsilon: float
     found: bool
     selection: tuple[int, ...]
     nodes_explored: int
 
-    def to_doc(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs),
-            "epsilon": self.epsilon,
-            "found": self.found,
-            "selection": list(self.selection),
-            "nodes_explored": self.nodes_explored,
-        }
-
 
 @dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(_Report):
     indices: tuple[int, ...]
     complete: bool
     certified: bool
     diagonalized: bool
     steps: tuple[ExtractionStep, ...]
     goodness: GoodnessReport
-
-    def to_doc(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "complete": self.complete,
-            "certified": self.certified,
-            "diagonalized": self.diagonalized,
-            "steps": [s.to_doc() for s in self.steps],
-            "goodness": self.goodness.to_doc(),
-        }
 
 
 def brunel_sucheston_extract(
@@ -635,6 +572,8 @@ def brunel_sucheston_extract(
             raise ValueError("extraction requires normalized input vectors")
     if target_len is None:
         target_len = max(2, len(vectors) // 2)
+    elif target_len < 1:
+        raise ValueError(f"target_len must be >= 1, got {target_len}")
 
     def eps_of(m: int) -> float:
         if eps_schedule is None:
@@ -778,7 +717,7 @@ def norm_quantization_coloring(
 
 
 @dataclass(frozen=True)
-class StabilizationStep:
+class StabilizationStep(_Report):
     coeffs: tuple[float, ...]
     length: int
     found: bool
@@ -786,19 +725,9 @@ class StabilizationStep:
     nodes_explored: int
     witness: Blocking
 
-    def to_doc(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs),
-            "length": self.length,
-            "found": self.found,
-            "color": self.color,
-            "nodes_explored": self.nodes_explored,
-            "witness": self.witness.to_doc(),
-        }
-
 
 @dataclass(frozen=True)
-class StabilizationResult:
+class StabilizationResult(_Report):
     """Blocking stabilized against every net tuple at the quantum resolution.
 
     The returned blocking is the last witness of the nested search chain;
@@ -815,16 +744,6 @@ class StabilizationResult:
     epsilon: float
     quantum: float
     ground: int
-
-    def to_doc(self) -> dict:
-        return {
-            "blocking": self.blocking.to_doc(),
-            "complete": self.complete,
-            "epsilon": self.epsilon,
-            "quantum": self.quantum,
-            "ground": self.ground,
-            "steps": [s.to_doc() for s in self.steps],
-        }
 
 
 def nccb_stabilize(
@@ -923,7 +842,7 @@ def verify_stabilization(
 
 
 @dataclass(frozen=True)
-class KrivineReport:
+class KrivineReport(_Report):
     p_estimate: float
     slope: float
     r_squared: float
@@ -933,15 +852,7 @@ class KrivineReport:
     max_n: int
 
     def to_doc(self) -> dict:
-        return {
-            "p_estimate": "inf" if self.p_estimate == math.inf else self.p_estimate,
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "norms": list(self.norms),
-            "monotone": self.monotone,
-            "start": self.start,
-            "max_n": self.max_n,
-        }
+        return super().to_doc() | {"p_estimate": _p_doc(self.p_estimate)}
 
 
 def krivine_p_estimate(spec: SpaceSpec, max_n: int, start: int = 1) -> KrivineReport:
@@ -954,6 +865,8 @@ def krivine_p_estimate(spec: SpaceSpec, max_n: int, start: int = 1) -> KrivineRe
     """
     if max_n < 4:
         raise ValueError("need max_n >= 4 for a meaningful fit")
+    if start < 1:
+        raise ValueError(f"start must be >= 1, got {start}")
     blocking = Blocking([FiniteSet([start + i]) for i in range(max_n)])
     parts = [spec.coordinates(y) for y in nccb_from_blocking(spec, blocking)]
     # the singletons are disjoint, so each prefix sum has exactly their
@@ -980,23 +893,13 @@ def krivine_p_estimate(spec: SpaceSpec, max_n: int, start: int = 1) -> KrivineRe
 
 
 @dataclass(frozen=True)
-class ExampleSpaceReport:
+class ExampleSpaceReport(_Report):
     passed: bool
     trials: int
     sandwich_failures: tuple[dict, ...]
     type_checks: tuple[tuple[int, bool], ...]
     ns: tuple[int, ...]
     vacuous: bool
-
-    def to_doc(self) -> dict:
-        return {
-            "passed": self.passed,
-            "trials": self.trials,
-            "sandwich_failures": list(self.sandwich_failures),
-            "type_checks": [[s, ok] for s, ok in self.type_checks],
-            "ns": list(self.ns),
-            "vacuous": self.vacuous,
-        }
 
 
 def _draw_block_tuple(

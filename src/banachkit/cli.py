@@ -239,7 +239,7 @@ def _cmd_spreading(args) -> int:
     report = spreading_model_estimate(
         spec, seq, net, horizons, H=args.window, fit_reference_p=args.fit_p
     )
-    config = _config_of(args, ["space", "blocking", "vectors", "horizons", "net-step", "max-n", "window"])
+    config = _config_of(args, ["space", "blocking", "vectors", "horizons", "net-step", "max-n", "window", "fit-p"])
     _emit(args, "spreading", config, report.to_doc(), rows=report.to_rows())
     return EXIT_OK
 
@@ -247,10 +247,9 @@ def _cmd_spreading(args) -> int:
 def _cmd_equivalence(args) -> int:
     spec = _load_space(args.space)
     seq = _sequence_from_args(spec, args)
-    ref_p = float("inf") if args.ref_p == "inf" else float(args.ref_p)
     n = len(seq) if args.ref_n is None else args.ref_n
     report = equivalence_constant(
-        spec, seq, LpReference(ref_p, n), net_step=args.net_step
+        spec, seq, LpReference(float(args.ref_p), n), net_step=args.net_step
     )
     config = _config_of(args, ["space", "blocking", "vectors", "ref-p", "ref-n", "net-step"])
     _emit(args, "equivalence", config, report.to_doc())
@@ -272,7 +271,7 @@ def _cmd_stabilized(args) -> int:
     schedule = _parse_ints(args.schedule)
     verdict = asymptotic_lp_verdict(
         spec,
-        p=float("inf") if args.p == "inf" else float(args.p),
+        p=float(args.p),
         n=args.n,
         schedule=schedule,
         epsilon=args.epsilon,
@@ -391,12 +390,13 @@ def _at_least(minimum: int):
     return parse
 
 
-def _add_common(sub, net: bool = True):
+def _add_common(sub, net: bool = True, max_n: bool = True):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if net:
         sub.add_argument("--net-step", type=_net_step, default=0.25)
-        sub.add_argument("--max-n", type=int, default=2)
+        if max_n:
+            sub.add_argument("--max-n", type=int, default=2)
 
 
 def _add_sequence_args(sub):
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence_args(sub)
     sub.add_argument("--ref-p", default="2")
     sub.add_argument("--ref-n", type=_at_least(1), default=None)
-    _add_common(sub)
+    _add_common(sub, max_n=False)
     sub.set_defaults(fn=_cmd_equivalence)
 
     sub = commands.add_parser("game", help="run the subspace-vs-vector game")
@@ -505,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("krivine-p", help="growth-slope estimate of the Krivine exponent")
     sub.add_argument("--space", required=True)
     sub.add_argument("--max-n", type=int, default=16)
-    sub.add_argument("--start", type=int, default=1)
+    sub.add_argument("--start", type=_at_least(1), default=1)
     _add_common(sub, net=False)
     sub.set_defaults(fn=_cmd_krivine_p)
 
     sub = commands.add_parser("extract", help="diagonal subsequence extraction with post-verification")
     sub.add_argument("--space", required=True)
     _add_sequence_args(sub)
-    sub.add_argument("--target-len", type=int, default=None)
+    sub.add_argument("--target-len", type=_at_least(1), default=None)
     _add_common(sub)
     sub.set_defaults(fn=_cmd_extract)
 

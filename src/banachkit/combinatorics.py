@@ -18,7 +18,7 @@ together with the number of explored nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -52,6 +52,39 @@ __all__ = [
 
 class InvalidBlockingError(ValueError):
     """Input violates blocking invariants (ordering, emptiness, nesting)."""
+
+
+# ---------------------------------------------------------------------------
+# Report documents
+# ---------------------------------------------------------------------------
+
+# Values that a report document holds as they are.
+_PLAIN = frozenset({bool, int, float, str, type(None), dict})
+
+
+def _doc(value):
+    """``value`` as a JSON-ready document: scalars, ``None`` and dicts as
+    they are, tuples and lists element by element, anything else through its
+    own ``to_doc``."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is tuple or kind is list:
+        return [_doc(v) for v in value]
+    return value.to_doc()
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+class _Report:
+    """Base of the result dataclasses: the document maps each field's name
+    to ``_doc`` of its value."""
+
+    def to_doc(self) -> dict:
+        return {name: _doc(getattr(self, name)) for name in _field_names(type(self))}
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +135,9 @@ class FiniteSet:
 
     def encode(self) -> str:
         return ",".join(str(e) for e in self.elements)
+
+    def to_doc(self) -> list[int]:
+        return list(self.elements)
 
     @classmethod
     def parse(cls, text: str) -> "FiniteSet":
@@ -199,7 +235,7 @@ class Coloring:
 
 
 @dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(_Report):
     """Outcome of a monochromatic-structure search.
 
     When ``found``, re-evaluating the coloring on every object generated
@@ -213,19 +249,6 @@ class SearchCertificate:
     witness: Blocking | FiniteSet | None
     color: int | None
     nodes_explored: int
-
-    def to_doc(self) -> dict:
-        witness_doc: list | None = None
-        if isinstance(self.witness, Blocking):
-            witness_doc = self.witness.to_doc()
-        elif isinstance(self.witness, FiniteSet):
-            witness_doc = list(self.witness.elements)
-        return {
-            "found": self.found,
-            "witness": witness_doc,
-            "color": self.color,
-            "nodes_explored": self.nodes_explored,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +634,11 @@ def size_parity_coloring(ground: int) -> Coloring:
 
 
 def constant_coloring(ground: int, value: int = 0, kind: str = "set", arity: int | None = None) -> Coloring:
+    if value < 0:
+        raise ValueError(f"constant color must be >= 0, got {value}")
     fn = (lambda E: value) if kind == "set" else (lambda blocks: value)
     return Coloring(
-        kind=kind, colors=max(value + 1, 1), ground=ground, fn=fn, arity=arity, name="constant"
+        kind=kind, colors=value + 1, ground=ground, fn=fn, arity=arity, name="constant"
     )
 
 

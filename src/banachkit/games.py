@@ -11,7 +11,6 @@ window parameters that produced it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Sequence
@@ -27,7 +26,8 @@ from .analysis import (
     goodness_test,
 )
 from .blockseq import BlockSequence, BlockTree, branch
-from .spaces import SparseVector, SpaceSpec
+from .combinatorics import _Report
+from .spaces import SparseVector, SpaceSpec, _p_doc
 
 __all__ = [
     "GameTranscript",
@@ -285,7 +285,7 @@ def _tuple_pool(
 
 
 @dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(_Report):
     """Sampled constant C(N, n) with the tuple that attained it.
 
     Re-running the equivalence scan on the certificate tuple reproduces the
@@ -303,25 +303,10 @@ class AsymptoticReport:
     pool_size: int
     net: ScalarNet
 
-    def to_doc(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "constant": self.constant,
-            "certificate": self.certificate.to_doc(),
-            "certificate_report": self.certificate_report.to_doc(),
-            "window": self.window,
-            "seed": self.seed,
-            "samples": self.samples,
-            "pool_size": self.pool_size,
-            "net": self.net.to_doc(),
-        }
-
 
 def _max_constant(
     spec: SpaceSpec,
-    p: float,
-    n: int,
+    reference: LpReference,
     pool: Sequence[BlockSequence],
     net: ScalarNet,
     scans: dict[BlockSequence, EquivalenceReport],
@@ -330,7 +315,7 @@ def _max_constant(
     best = None
     for seq in pool:
         if seq not in scans:
-            scans[seq] = equivalence_constant(spec, seq, LpReference(p, n), net=net)
+            scans[seq] = equivalence_constant(spec, seq, reference, net=net)
         report = scans[seq]
         if best is None or report.constant > best[0]:
             best = (report.constant, seq, report)
@@ -354,10 +339,11 @@ def stabilized_constant(
     the worst equivalence constant.  A lower bound on the true stabilized
     constant at cutoff N.
     """
+    reference = LpReference(p, n)
     if net is None:
         net = ScalarNet.grid(step=0.25, max_len=n)
     pool = _tuple_pool(spec, n, N, N + window, seed, samples)
-    constant, certificate, report = _max_constant(spec, p, n, pool, net, {})
+    constant, certificate, report = _max_constant(spec, reference, pool, net, {})
     return AsymptoticReport(
         n=n, N=N, constant=constant, certificate=certificate, certificate_report=report,
         window=window, seed=seed, samples=samples, pool_size=len(pool), net=net,
@@ -365,7 +351,7 @@ def stabilized_constant(
 
 
 @dataclass(frozen=True)
-class AsymptoticVerdict:
+class AsymptoticVerdict(_Report):
     """Empirical C(N, n) table over a cutoff schedule with a labeled verdict."""
 
     p: float
@@ -379,14 +365,7 @@ class AsymptoticVerdict:
         return tuple(r.constant for r in self.rows)
 
     def to_doc(self) -> dict:
-        return {
-            "p": "inf" if self.p == math.inf else self.p,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "verdict": self.verdict,
-            "empirical": self.empirical,
-            "rows": [r.to_doc() for r in self.rows],
-        }
+        return super().to_doc() | {"p": _p_doc(self.p)}
 
     def to_rows(self) -> list[list]:
         out = [["N", "constant", "pool_size"]]
@@ -420,6 +399,7 @@ def asymptotic_lp_verdict(
     _check_epsilon(epsilon)
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    reference = LpReference(p, n)
     schedule = sorted(schedule)
     if net is None:
         net = ScalarNet.grid(step=0.25, max_len=n)
@@ -431,7 +411,7 @@ def asymptotic_lp_verdict(
         eligible = [seq for seq in pool if seq[0].min_index() >= N]
         if not eligible:
             raise ValueError(f"no sampled tuples supported past N={N}")
-        constant, certificate, report = _max_constant(spec, p, n, eligible, net, scans)
+        constant, certificate, report = _max_constant(spec, reference, eligible, net, scans)
         rows.append(
             AsymptoticReport(
                 n=n, N=N, constant=constant, certificate=certificate,
@@ -454,23 +434,13 @@ def asymptotic_lp_verdict(
 
 
 @dataclass(frozen=True)
-class BranchExtraction:
+class BranchExtraction(_Report):
     branch: BlockSequence
     path: tuple[int, ...]
     complete: bool
     certified: bool
     goodness: GoodnessReport
     metadata: dict = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        return {
-            "path": list(self.path),
-            "branch": self.branch.to_doc(),
-            "complete": self.complete,
-            "certified": self.certified,
-            "goodness": self.goodness.to_doc(),
-            "metadata": self.metadata,
-        }
 
 
 def good_branch_extract(

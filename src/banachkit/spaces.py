@@ -250,7 +250,7 @@ class Lp(_Space):
         return scale * sum(abs(c / scale) ** self.p for _, c in coords) ** (1.0 / self.p)
 
     def to_doc(self) -> dict:
-        return {"kind": "lp", "p": "inf" if self.p == INF else self.p}
+        return {"kind": "lp", "p": _p_doc(self.p)}
 
 
 @dataclass(frozen=True)
@@ -587,6 +587,12 @@ def _parse_p(raw) -> float:
     if raw in ("inf", "Infinity"):
         return INF
     return float(raw)
+
+
+def _p_doc(p: float | None) -> float | str | None:
+    """An exponent as reports write it, inverse of ``_parse_p``: JSON has no
+    infinity, so p = inf is the string ``"inf"``."""
+    return "inf" if p == INF else p
 
 
 def space_from_doc(doc: dict) -> SpaceSpec:

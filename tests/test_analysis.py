@@ -247,6 +247,11 @@ class TestEquivalence:
             cap = n ** (1 / spec.ps[s0 - 1] - 1 / 2)
             assert report.constant <= cap + report.net_error + 1e-9
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, math.nan])
+    def test_reference_exponent_outside_one_to_inf_rejected(self, p):
+        with pytest.raises(ValueError, match="outside"):
+            LpReference(p, 2)
+
     def test_too_few_vectors_rejected(self):
         with pytest.raises(ValueError):
             equivalence_constant(Lp(2.0), lp_units(2), LpReference(2.0, 3))
@@ -285,6 +290,11 @@ class TestExtraction:
             brunel_sucheston_extract(
                 Lp(2.0), [SparseVector({1: 2.0})], ScalarNet.grid(1.0, 1)
             )
+
+    @pytest.mark.parametrize("target_len", [0, -1])
+    def test_target_len_below_one_rejected(self, target_len):
+        with pytest.raises(ValueError, match="target_len must be >= 1"):
+            brunel_sucheston_extract(Lp(2.0), lp_units(4), ScalarNet.grid(0.5, 2), target_len=target_len)
 
     def test_failure_is_flagged_not_silent(self):
         # window too tight to certify: target longer than the ground set
@@ -477,6 +487,11 @@ class TestKrivine:
     def test_max_n_validation(self):
         with pytest.raises(ValueError):
             krivine_p_estimate(Lp(2.0), 3)
+
+    @pytest.mark.parametrize("start", [0, -5])
+    def test_start_validation(self, start):
+        with pytest.raises(ValueError, match="start must be >= 1"):
+            krivine_p_estimate(Lp(2.0), 8, start=start)
 
 
 class TestExampleSpaceVerification:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from banachkit import cli
+from banachkit import cli, games
+from banachkit.analysis import krivine_p_estimate
 from banachkit.cli import main
 
 
@@ -174,13 +176,18 @@ class TestAnalysisCommands:
         assert doc["result"]["verdict"] == "good-within-tolerance"
 
     def test_spreading(self):
-        code, doc = run_json(
+        argv = (
             "spreading", "--space", LP2,
             "--blocking", "|".join(str(i) for i in range(1, 15)),
             "--horizons", "1,4", "--net-step", "1", "--max-n", "2",
         )
+        code, doc = run_json(*argv)
         assert code == 0
         assert doc["result"]["horizons"] == [1, 4]
+        assert doc["config"]["fit-p"] is False
+        _, fitted = run_json(*argv, "--fit-p")
+        assert fitted["config"]["fit-p"] is True
+        assert fitted["result"]["fit_p"] == pytest.approx(2.0, abs=1e-9)
 
     def test_equivalence(self):
         code, doc = run_json(
@@ -275,6 +282,15 @@ class TestAnalysisCommands:
                 ["milliken", "--coloring", "constant", "--P", "singletons:-3", "--k", "1", "--L", "1"],
                 "--P must have at least one block",
             ),
+            (["extract", "--space", LP2, "--blocking", "1|2|3|4", "--target-len", "0"], "--target-len: must be an integer >= 1"),
+            (["extract", "--space", LP2, "--blocking", "1|2|3|4", "--target-len", "-1"], "--target-len: must be an integer >= 1"),
+            (["krivine-p", "--space", LP2, "--start", "0"], "--start: must be an integer >= 1"),
+            (["krivine-p", "--space", LP2, "--start", "-5"], "--start: must be an integer >= 1"),
+            (["hindman", "--coloring", "constant:-1", "--M", "3", "--L", "2"], "constant color must be >= 0, got -1"),
+            (
+                ["equivalence", "--space", LP2, "--blocking", "1|2|3", "--max-n", "2"],
+                "unrecognized arguments: --max-n",
+            ),
         ],
     )
     def test_count_below_its_minimum_is_usage_error(self, monkeypatch, argv, message):
@@ -283,13 +299,37 @@ class TestAnalysisCommands:
 
         for name in (
             "equivalence_constant", "asymptotic_lp_verdict", "play", "spreading_model_estimate",
-            "goodness_test", "milliken_taylor_search",
+            "goodness_test", "milliken_taylor_search", "brunel_sucheston_extract",
+            "krivine_p_estimate", "hindman_search",
         ):
             monkeypatch.setattr(cli, name, never)
         code, out, err = run_cli(*argv)
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, p",
+        [
+            (["equivalence", "--space", LP2, "--blocking", "1|2|3", "--ref-p", "0"], "0.0"),
+            (["equivalence", "--space", LP2, "--blocking", "1|2|3", "--ref-p", "0.5"], "0.5"),
+            (["equivalence", "--space", LP2, "--blocking", "1|2|3", "--ref-p", "nan"], "nan"),
+            (["stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--p", "0"], "0.0"),
+            (["stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--p", "-1"], "-1.0"),
+        ],
+    )
+    def test_reference_exponent_outside_one_to_inf_is_usage_error(self, monkeypatch, argv, p):
+        def never(*args, **kwargs):
+            raise AssertionError("scanned or sampled against an invalid reference")
+
+        # the stabilized command checks p inside asymptotic_lp_verdict, ahead of its sampling
+        monkeypatch.setattr(cli, "equivalence_constant", never)
+        monkeypatch.setattr(games, "equivalence_constant", never)
+        monkeypatch.setattr(games, "_tuple_pool", never)
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert f"exponent p={p} outside [1, inf]" in err
 
     @pytest.mark.parametrize("ref_n, expected", [(None, 3), ("1", 1), ("2", 2)])
     def test_ref_n_is_used_as_given(self, ref_n, expected):
@@ -366,6 +406,19 @@ class TestOutputContracts:
         args = argparse.Namespace(format="json")
         with pytest.raises(ValueError):
             cli._emit(args, "norm", {}, {"norm": math.nan})
+
+    def test_infinity_outside_an_exponent_is_not_reported(self, monkeypatch):
+        # only exponents are written as "inf"; any other infinite float stays
+        # a float in the document and fails JSON emission
+        real = krivine_p_estimate
+
+        def with_infinite_fit(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), r_squared=math.inf)
+
+        monkeypatch.setattr(cli, "krivine_p_estimate", with_infinite_fit)
+        code, out, err = run_cli("krivine-p", "--space", '{"kind":"c0"}')
+        assert code == 2
+        assert out == "" and "JSON" in err
 
     def test_unknown_command_exits_2(self):
         code, _, _ = run_cli("frobnicate")

@@ -146,8 +146,13 @@ class TestRamseySearch:
 
     def test_constant_coloring_first_lex(self):
         c = constant_coloring(8, 1)
+        assert c.colors == 2
         cert = ramsey_search(c, 2, 4)
         assert cert.witness.elements == (1, 2, 3, 4)
+
+    def test_constant_coloring_rejects_a_negative_color(self):
+        with pytest.raises(ValueError, match="constant color must be >= 0"):
+            constant_coloring(8, -1)
 
     def test_adjacency_coloring(self):
         def adjacency(ground):
