@@ -28,11 +28,12 @@ from typing import Callable, Iterable, Sequence
 from .blockseq import BlockSequence, CombinationNorm, combine, nccb_from_blocking
 from .combinatorics import (
     Blocking,
+    BlockClasses,
     Coloring,
     FiniteSet,
     SearchCertificate,
     _Report,
-    coarsenings,
+    _coarsening_colors,
     milliken_taylor_search,
     ramsey_search,
 )
@@ -675,6 +676,14 @@ def norm_quantization_coloring(
     exact: ``combination_norm`` is a pure function of the coefficients and
     the coordinate lists, so blockings with equal class tuples have
     bit-identical norms and the same color.
+
+    The coloring's ``classes`` serve the Milliken-Taylor search and
+    ``verify_stabilization``, which color class tuples without listing
+    coarsenings.  They rely on the union rule: for A below B, the
+    coordinate keys of A u B are those of A and then those of B (for an
+    Interleave, part by part), and the keys fix the normalized coordinates,
+    so the class of A u B is a function of the classes of A and B.  Their
+    merge memo belongs to the coloring.
     """
     _check_quantum(quantum)
     coeffs = tuple(float(c) for c in coeffs)
@@ -692,11 +701,16 @@ def norm_quantization_coloring(
                 class_coords.append(coords)
         return cid
 
+    # As in combine, a block under a zero coefficient is never normalized:
+    # its id is -1 and its coordinates are empty.
+    def class_at(i: int, elements: tuple[int, ...]) -> int:
+        return class_id(elements) if coeffs[i] != 0.0 else -1
+
     def fn(blocks: tuple[FiniteSet, ...]) -> int:
-        # The blocks of a blocking are successively increasing.  As in
-        # combine, a block under a zero coefficient is never normalized:
-        # its id is -1 and its coordinates are empty.
-        key = tuple([class_id(b.elements) if a != 0.0 else -1 for a, b in zip(coeffs, blocks)])
+        # the blocks of a blocking are successively increasing
+        return color_of(tuple([class_id(b.elements) if a != 0.0 else -1 for a, b in zip(coeffs, blocks)]))
+
+    def color_of(key: tuple[int, ...]) -> int:
         color = colors.get(key)
         if color is None:
             parts = [class_coords[cid] if cid >= 0 else () for cid in key]
@@ -713,6 +727,7 @@ def norm_quantization_coloring(
         fn=fn,
         arity=len(coeffs),
         name="norm-quantization",
+        classes=BlockClasses(of=class_at, color=color_of),
     )
 
 
@@ -812,11 +827,13 @@ def verify_stabilization(
     result: StabilizationResult,
     net: ScalarNet,
 ) -> bool:
-    """Exhaustively recolor every coarsening family of the result per tuple.
+    """Color every coarsening of the result exhaustively, per tuple.
 
-    In an unconditional space the tuples t, -t and |t| color every blocking
-    alike (their combination norms are the same float operations up to
-    sign), so each such sign family is recolored once.
+    Each tuple's coloring colors the class tuple of every length-n
+    coarsening once (``_coarsening_colors``), without listing them.  In an
+    unconditional space the tuples t, -t and |t| color every blocking alike
+    (their combination norms are the same float operations up to sign), so
+    each such sign family is recolored once.
     """
     P = result.blocking
     checked: set[tuple[float, ...]] = set()
@@ -830,8 +847,7 @@ def verify_stabilization(
         coloring = norm_quantization_coloring(
             spec, coeffs, result.quantum, result.ground, cache=cache
         )
-        seen = {coloring.of_blocking(list(F)) for F in coarsenings(P, n)}
-        if len(seen) > 1:
+        if len(_coarsening_colors(coloring, P, n)) > 1:
             return False
     return True
 

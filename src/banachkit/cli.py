@@ -459,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("stabilized", help="sampled C(N,n) table over a cutoff schedule")
     sub.add_argument("--space", required=True)
     sub.add_argument("--p", default="2")
-    sub.add_argument("--n", type=int, default=2)
+    sub.add_argument("--n", type=_at_least(1), default=2)
     sub.add_argument("--schedule", default="1,10,100")
     sub.add_argument("--epsilon", type=float, default=0.1)
-    sub.add_argument("--window", type=int, default=24)
+    sub.add_argument("--window", type=_at_least(0), default=24)
     sub.add_argument("--samples", type=_at_least(0), default=40)
     _add_common(sub, net=False)
     sub.set_defaults(fn=_cmd_stabilized)
@@ -498,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--M", type=int, required=True)
     sub.add_argument("--epsilon", type=float, default=0.1)
     sub.add_argument("--quantum", type=float, default=0.05)
-    sub.add_argument("--verify", action="store_true", help="exhaustively recolor the result")
+    sub.add_argument(
+        "--verify", action="store_true", help="color the class tuple of every coarsening of the result"
+    )
     _add_common(sub)
     sub.set_defaults(fn=_cmd_stabilize_nccb)
 

@@ -18,7 +18,7 @@ together with the number of explored nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 __all__ = [
     "FiniteSet",
     "Blocking",
+    "BlockClasses",
     "Coloring",
     "SearchCertificate",
     "is_blocking",
@@ -200,6 +201,32 @@ class Blocking:
 
 
 @dataclass(frozen=True)
+class BlockClasses:
+    """Classes of sets that a blocking coloring's colors depend on alone.
+
+    ``of(i, elements)`` is the class id of a set at position ``i`` of a
+    blocking, or -1 where that position is never classed; ``color(key)`` is
+    the color of every blocking whose blocks have the class ids ``key``.
+    The union rule must hold: for A below B, the class of A u B at a
+    position is a function of the classes of A and B there.  ``merge``
+    memoizes it by (class, class), filled on first use from the concrete
+    union, so coarsenings can be colored by class tuple without being
+    listed.
+    """
+
+    of: Callable[[int, tuple[int, ...]], int]
+    color: Callable[[tuple[int, ...]], int]
+    merged: dict = field(default_factory=lambda: {(-1, -1): -1})
+
+    def merge(self, i: int, a: int, b: int, a_elements: tuple[int, ...], b_elements: tuple[int, ...]) -> int:
+        """The class at position ``i`` of A u B, A of class ``a`` below B of class ``b``."""
+        union = self.merged.get((a, b))
+        if union is None:
+            union = self.merged[a, b] = self.of(i, a_elements + b_elements)
+        return union
+
+
+@dataclass(frozen=True)
 class Coloring:
     """Total coloring of finite sets or of length-k blockings in {1..M}.
 
@@ -208,6 +235,9 @@ class Coloring:
     ``fn`` must be deterministic and total on the relevant domain.  Each
     search queries it in a fixed order, which the differential tests pin, so a
     coloring built lazily as it is queried still gives reproducible results.
+    A blocking coloring may carry ``classes``: the Milliken-Taylor search then
+    colors each distinct class tuple of a coarsening family once instead of
+    querying ``fn`` on every coarsening.
     """
 
     kind: str
@@ -216,6 +246,7 @@ class Coloring:
     fn: Callable
     arity: int | None = None
     name: str = "anonymous"
+    classes: BlockClasses | None = None
 
     def __post_init__(self):
         if self.kind not in ("set", "blocking"):
@@ -410,14 +441,15 @@ def diagonal(nested: Sequence[Blocking]) -> Blocking:
 def _search(
     n: int,
     L: int,
-    candidates: Callable[[int], Iterable[tuple[int, ...]]],
+    candidates: Callable[[int, int], Iterable[tuple[int, ...]]],
     colors: Callable[[tuple[tuple[int, ...], ...]], Iterable[int]],
     witness: Callable[[tuple[tuple[int, ...], ...]], Blocking | FiniteSet],
 ) -> SearchCertificate:
     """Depth-first search for L successively increasing sets in {1..n}.
 
-    ``candidates(lo)`` gives the sets that may come next, inside {lo..n}, in
-    the order they are tried.  ``colors(chosen)`` yields, in query order, the
+    ``candidates(lo, hi)`` gives the sets that may come next, inside
+    {lo..hi}, in the order they are tried; ``hi`` leaves room above for the
+    sets still to come.  ``colors(chosen)`` yields, in query order, the
     colors of the objects completed by the last set of ``chosen``; a branch is
     pruned at the first color unlike the first color on its path.  Calls come
     in depth-first order, so ``colors`` may keep state for the current path,
@@ -430,10 +462,8 @@ def _search(
         nonlocal nodes
         if len(chosen) == L:
             return SearchCertificate(True, witness(chosen), target, nodes)
-        for subset in candidates(lo):
-            # sets above max(subset) must still host the remaining sets
-            if n - subset[-1] < L - len(chosen) - 1:
-                continue
+        # sets above max(subset) must still host the remaining sets
+        for subset in candidates(lo, n - (L - len(chosen) - 1)):
             nodes += 1
             extended = chosen + (subset,)
             new_target = target
@@ -473,7 +503,7 @@ def ramsey_search(coloring: Coloring, k: int, L: int) -> SearchCertificate:
             yield coloring.of_set(FiniteSet(prefix + chosen[-1]))
 
     return _search(
-        M, L, lambda lo: ((e,) for e in range(lo, M + 1)), colors,
+        M, L, lambda lo, hi: ((e,) for e in range(lo, hi + 1)), colors,
         lambda chosen: FiniteSet(e for (e,) in chosen),
     )
 
@@ -505,7 +535,7 @@ def hindman_search(coloring: Coloring, M: int, L: int) -> SearchCertificate:
             unions.append(unions[i].union(block))
             yield coloring.of_set(unions[-1])
 
-    return _search(M, L, lambda lo: _subsets_from(lo, M), colors, Blocking)
+    return _search(M, L, _subsets_from, colors, Blocking)
 
 
 def _arity_tuples_with_last(j: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -541,6 +571,61 @@ def _arity_tuples(j: int, k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
     return _arity_table(j, k)
 
 
+def _class_step(
+    classes: BlockClasses, k: int, states: dict, block: tuple[int, ...], room: int
+) -> tuple[dict, set[tuple[int, ...]]]:
+    """Extend the class tuples of length-k coarsenings by one more block.
+
+    A state is the tuple of class ids of the sets started so far, the last
+    one still open, and maps to the elements of the open set that first
+    reached it.  ``block`` is skipped, joins the open set, or starts the next
+    set.  A state completes only if the ``room`` blocks still to come can
+    start its missing sets; no set is classed for one that cannot, as no
+    coarsening colors it.  Returns the new states and the class tuples of
+    the coarsenings whose last set gained ``block``.
+    """
+    following: dict = {}
+    finals: set[tuple[int, ...]] = set()
+    for started, elements in states.items():
+        s = len(started)
+        if k - s <= room:
+            following.setdefault(started, elements)
+            if s:
+                i = s - 1  # the open set's position
+                joined = started[:i] + (classes.merge(i, started[i], classes.of(i, block), elements, block),)
+                following.setdefault(joined, elements + block)
+                if s == k:
+                    finals.add(joined)
+        if s < k and k - s - 1 <= room:
+            begun = started + (classes.of(s, block),)
+            following.setdefault(begun, block)
+            if s + 1 == k:
+                finals.add(begun)
+    return following, finals
+
+
+def _coarsening_colors(coloring: Coloring, P: Blocking, k: int) -> set[int]:
+    """The colors of the length-k coarsenings of P.
+
+    With ``classes``, P's blocks walk through ``_class_step`` and each
+    distinct class tuple is colored once.  The walk classes sets in another
+    order than the enumeration, so on an error (a set the coloring cannot
+    class) it gives way to the enumeration, which fails as it always has.
+    """
+    classes = coloring.classes
+    if classes is not None:
+        try:
+            states: dict = {(): ()}
+            keys: set[tuple[int, ...]] = set()
+            for room, block in zip(range(len(P) - 1, -1, -1), P):
+                states, finals = _class_step(classes, k, states, block.elements, room)
+                keys |= finals
+            return {classes.color(key) for key in keys}
+        except ValueError:
+            pass
+    return {coloring.of_blocking(F) for F in coarsenings(P, k)}
+
+
 def _check_arity(coloring: Coloring, k: int) -> None:
     if coloring.arity is not None and coloring.arity != k:
         raise ValueError(
@@ -559,6 +644,12 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
     singleton blocking this finds the Hindman search's certificate when the
     coloring is a pure function; it queries unions in lexicographic order of
     their index sets, where the Hindman search goes in creation order.
+
+    A coloring with ``classes`` is colored once per distinct class tuple of
+    the new coarsenings, found by ``_class_step`` from the states of the
+    path above.  The node outcome does not depend on query order: at depth k
+    the one coarsening sets the color, deeper every color must equal it.
+    So the certificate is the one the enumeration gives.
     """
     if coloring.kind != "blocking":
         raise ValueError("milliken_taylor_search needs a blocking coloring")
@@ -567,8 +658,28 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
     _check_arity(coloring, k)
     n = len(P)
     unions = _Unions(P)
+    classes = coloring.classes
+    # class-tuple states after each block of the current path
+    path: list[dict] | None = [{(): ()}] if classes is not None else None
 
     def colors(chosen: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+        nonlocal path
+        if path is not None:
+            del path[len(chosen) :]
+            try:
+                block = unions[chosen[-1]].elements
+                states, finals = _class_step(classes, k, path[-1], block, L - len(chosen))
+                found = {classes.color(key) for key in finals}
+            except ValueError:
+                # The states class sets in another order than the
+                # enumeration, and some it may never color on this path, so
+                # an error here need not be the enumeration's: enumerate from
+                # this node on, which fails exactly where it always has.
+                path = None
+            else:
+                path.append(states)
+                yield from found
+                return
         if len(chosen) < k:
             return
         for meta in _arity_tuples(len(chosen), k):
@@ -582,7 +693,7 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
             yield coloring.of_blocking(blocks)
 
     return _search(
-        n, L, lambda lo: _subsets_from(lo, n), colors,
+        n, L, _subsets_from, colors,
         lambda chosen: Blocking._trusted(tuple(unions[s] for s in chosen)),
     )
 

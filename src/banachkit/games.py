@@ -399,6 +399,10 @@ def asymptotic_lp_verdict(
     _check_epsilon(epsilon)
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     reference = LpReference(p, n)
     schedule = sorted(schedule)
     if net is None:

@@ -38,7 +38,13 @@ from banachkit.blockseq import (
     nccb_from_blocking,
     tree_from_array,
 )
-from banachkit.combinatorics import Blocking, FiniteSet, coarsenings
+from banachkit.combinatorics import (
+    Blocking,
+    FiniteSet,
+    _coarsening_colors,
+    coarsenings,
+    milliken_taylor_search,
+)
 from banachkit.spaces import (
     C0,
     Interleave,
@@ -735,12 +741,6 @@ def coloring_cases(draw):
     return colorings, blockings
 
 
-def class_tuple(spec, coeffs, blocks):
-    """The blocks' coordinate lists, None under a zero coefficient."""
-    ys = nccb_from_blocking(spec, Blocking(blocks))
-    return tuple(tuple(spec.coordinates(y)) if a != 0.0 else None for a, y in zip(coeffs, ys))
-
-
 class TestColoringClassMemo:
     @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
     @settings(max_examples=40, deadline=None)
@@ -804,15 +804,18 @@ class TestColoringClassMemo:
             coloring = real_coloring(spec, coeffs, *args, **kwargs)
             seen, calls = set(), [0]
             colorings.append((seen, calls))
+            coordinates = kwargs["cache"][None][0]  # of each class id
 
-            def fn(blocks):
-                seen.add(class_tuple(spec, coeffs, blocks))
+            # the search and verify color class tuples through classes.color
+            def color(key):
+                # the blocks' coordinate lists, None under a zero coefficient
+                seen.add(tuple(coordinates[cid] if cid >= 0 else None for cid in key))
                 before = kernel_calls[0]
-                color = coloring.fn(blocks)
+                value = coloring.classes.color(key)
                 calls[0] += kernel_calls[0] - before
-                return color
+                return value
 
-            return dataclasses.replace(coloring, fn=fn)
+            return dataclasses.replace(coloring, classes=dataclasses.replace(coloring.classes, color=color))
 
         monkeypatch.setattr(analysis, "combination_norm", counted_kernel)
         monkeypatch.setattr(analysis, "norm_quantization_coloring", recorded)
@@ -860,6 +863,166 @@ class TestColoringClassMemo:
         coords = spec.coordinates(v)
         assert coords == [(None, c) for c in v.entries.values()]
         assert spec.norm(v) == spec.coordinate_norm(coords)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: coarsening families colored once per distinct class
+# tuple, walked by _class_step, against the coarsenings enumeration.
+# ---------------------------------------------------------------------------
+
+# segments {1, 2}, {3, 4, 5}, {6, 7, 8}: sets past 8 leave the space
+SHORT_LP_SUM = LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 3))
+
+
+def enumerating(coloring):
+    """The coloring without its classes: the search and verify enumerate."""
+    return dataclasses.replace(coloring, classes=None)
+
+
+def walking(coloring):
+    """The coloring with an ``fn`` that fails: only the class walk can answer."""
+
+    def fn(blocks):
+        raise AssertionError("enumerated a coarsening")
+
+    return dataclasses.replace(coloring, fn=fn)
+
+
+def outcome(run):
+    try:
+        return run()
+    except InvalidVectorError as exc:
+        return str(exc)
+
+
+@st.composite
+def walk_cases(draw):
+    """A blocking P of {1..10}, arity k, witness length L, coefficients, quantum."""
+    k = draw(st.integers(1, 3))
+    P = Blocking(draw(blockings_of_ten(draw(st.integers(k, 7)))))
+    L = draw(st.integers(k, len(P)))
+    coeffs = draw(st.lists(coloring_coefficient, min_size=k, max_size=k))
+    return P, k, L, coeffs, draw(st.sampled_from((0.05, 0.1, 0.3, 1.0)))
+
+
+def oracle_verify_stabilization(spec, result, net):
+    P = result.blocking
+    checked = set()
+    cache = {}
+    for coeffs in net.tuples:
+        n = len(coeffs)
+        family = analysis._sign_free(coeffs) if spec.unconditional else tuple(coeffs)
+        if len(P) < n or family in checked:
+            continue
+        checked.add(family)
+        coloring = norm_quantization_coloring(spec, coeffs, result.quantum, result.ground, cache=cache)
+        seen = {coloring.of_blocking(list(F)) for F in coarsenings(P, n)}
+        if len(seen) > 1:
+            return False
+    return True
+
+
+class TestClassTupleWalk:
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=30, deadline=None)
+    @given(pairs=st.lists(blockings_of_ten(2), min_size=2, max_size=40))
+    def test_union_class_is_a_function_of_the_part_classes(self, name, pairs):
+        classes = norm_quantization_coloring(CLASS_SPACES[name], (1.0,), 0.05, 10).classes
+        union_of = {}
+        for A, B in pairs:
+            parts = (classes.of(0, A.elements), classes.of(0, B.elements))
+            union = classes.of(0, A.elements + B.elements)
+            assert union_of.setdefault(parts, union) == union
+            assert classes.merge(0, *parts, A.elements, B.elements) == union
+
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=30, deadline=None)
+    @given(case=walk_cases())
+    def test_coarsening_colors_match_the_enumeration(self, name, case):
+        P, k, _, coeffs, quantum = case
+        spec = CLASS_SPACES[name]
+        oracle = norm_quantization_coloring(spec, coeffs, quantum, 10)
+        expected = {oracle.of_blocking(F) for F in coarsenings(P, k)}
+        coloring = walking(norm_quantization_coloring(spec, coeffs, quantum, 10))
+        assert _coarsening_colors(coloring, P, k) == expected
+
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=30, deadline=None)
+    @given(case=walk_cases())
+    def test_search_certificates_match_the_enumeration(self, name, case):
+        P, k, L, coeffs, quantum = case
+        spec = CLASS_SPACES[name]
+        coloring = norm_quantization_coloring(spec, coeffs, quantum, 10)
+        walked = milliken_taylor_search(walking(coloring), P, k, L)
+        oracle = norm_quantization_coloring(spec, coeffs, quantum, 10)
+        expected = milliken_taylor_search(enumerating(oracle), P, k, L)
+        assert (walked.found, walked.witness, walked.color, walked.nodes_explored) == (
+            expected.found, expected.witness, expected.color, expected.nodes_explored,
+        )
+
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES) + ["short-lp_sum"])
+    @settings(max_examples=20, deadline=None)
+    @given(case=walk_cases(), step=st.sampled_from((0.5, 1.0)))
+    def test_verify_matches_the_enumerating_verify(self, name, case, step):
+        P, _, _, _, quantum = case
+        spec = CLASS_SPACES.get(name, SHORT_LP_SUM)
+        result = StabilizationResult(
+            blocking=P, steps=(), complete=True, epsilon=0.1, quantum=quantum, ground=10
+        )
+        net = ScalarNet.grid(step, 3)
+        assert outcome(lambda: verify_stabilization(spec, result, net)) == outcome(
+            lambda: oracle_verify_stabilization(spec, result, net)
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs", [(1.0, 0.0), (0.0, 1.0), (-0.0, 0.5), (1.0, 0.0, -0.5), (0.0, 1.0, 0.5), (0.5, -1.0, -0.0)]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(case=walk_cases())
+    def test_short_lp_sum_fails_as_the_enumeration_does(self, coeffs, case):
+        # a zero coefficient first or last: its blocks are never classed
+        P, _, L, _, quantum = case
+        k = len(coeffs)
+        if len(P) < k:
+            return
+        L = max(L, k)
+
+        def fresh():
+            return norm_quantization_coloring(SHORT_LP_SUM, coeffs, quantum, 10)
+
+        searched = outcome(lambda: milliken_taylor_search(fresh(), P, k, L))
+        assert searched == outcome(lambda: milliken_taylor_search(enumerating(fresh()), P, k, L))
+        oracle = fresh()
+        assert outcome(lambda: _coarsening_colors(fresh(), P, k)) == outcome(
+            lambda: {oracle.of_blocking(F) for F in coarsenings(P, k)}
+        )
+
+    # The walk classes sets in another order than the enumeration, and the
+    # search's walk classes some the enumeration never colors on its path;
+    # in these cases the walk alone would fail where, or as, it does not.
+    @pytest.mark.parametrize(
+        "coeffs, P, L, quantum, expected",
+        [
+            ((-0.5, 1.0, 0.0), "1|2|5,7|9,10|11", 5, 0.3, "found=False"),
+            ((0.5, -0.5, 0.0), "1|2|4|5|6|7,8|9|12", 5, 0.3, "witness=Blocking('1|2,4,5|6|7,8|9')"),
+            ((1.0, 0.0, -0.5), "1,2,3|4,5,6,7,8,9,10|11|12", 4, 1.0, "index 11 outside"),
+        ],
+    )
+    def test_search_gives_way_to_the_enumeration_on_an_error(self, coeffs, P, L, quantum, expected):
+        P = Blocking.parse(P)
+        coloring = norm_quantization_coloring(SHORT_LP_SUM, coeffs, quantum, 12)
+        oracle = enumerating(norm_quantization_coloring(SHORT_LP_SUM, coeffs, quantum, 12))
+        searched = outcome(lambda: milliken_taylor_search(coloring, P, 3, L))
+        assert searched == outcome(lambda: milliken_taylor_search(oracle, P, 3, L))
+        assert expected in str(searched)
+
+    @pytest.mark.parametrize(
+        "coeffs, P", [((1.0, 0.0, 1.0), "5|7,8,10|11|12"), ((1.0, 0.0, -0.5), "1,2,3|4,5,6,7,8,9,10|11|12")]
+    )
+    def test_coarsening_colors_give_way_to_the_enumeration_on_an_error(self, coeffs, P):
+        coloring = norm_quantization_coloring(SHORT_LP_SUM, coeffs, 1.0, 12)
+        with pytest.raises(InvalidVectorError, match="index 11 outside"):
+            _coarsening_colors(coloring, Blocking.parse(P), 3)
 
 
 # ---------------------------------------------------------------------------

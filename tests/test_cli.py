@@ -221,6 +221,16 @@ class TestAnalysisCommands:
         assert doc["result"]["blocking"] == [[1], [2], [3], [4], [5]]
         assert doc["result"]["verified_monochromatic"] is True
 
+    @pytest.mark.parametrize("extra", [[], ["--quantum", "0.3"], ["--max-n", "3", "--quantum", "0.5"]])
+    def test_stabilize_past_a_short_lp_sum_names_the_first_index_outside(self, extra):
+        space = '{"kind":"lp_sum","p":2,"ps":[1,1.5,1.8],"ns":[2,3,4]}'
+        code, out, err = run_cli(
+            "stabilize-nccb", "--space", space, "--M", "12", "--net-step", "0.5", "--verify", *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "config error: index 10 outside the declared segments (1..9)\n"
+
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -266,6 +276,14 @@ class TestAnalysisCommands:
             (
                 ["stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--samples", "-3"],
                 "--samples: must be an integer >= 0",
+            ),
+            (
+                ["stabilized", "--space", LP2, "--n", "0", "--schedule", "1,3", "--samples", "2"],
+                "--n: must be an integer >= 1",
+            ),
+            (
+                ["stabilized", "--space", LP2, "--n", "2", "--schedule", "1,3", "--window", "-1", "--samples", "2"],
+                "--window: must be an integer >= 0",
             ),
             (["game", "--space", LP2, "--rounds", "-2"], "--rounds: must be an integer >= 0"),
             (

@@ -197,6 +197,18 @@ class TestAsymptoticVerdict:
         with pytest.raises(ValueError, match="samples must be >= 0"):
             asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [1, 3], epsilon=0.1, samples=-3)
 
+    @pytest.mark.parametrize(
+        "n, window, message",
+        [(0, 24, "n must be >= 1"), (-2, 24, "n must be >= 1"), (2, -1, "window must be >= 0")],
+    )
+    def test_n_and_window_rejected_before_sampling(self, monkeypatch, n, window, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sampled with an invalid n or window")
+
+        monkeypatch.setattr(games, "_tuple_pool", no_pool)
+        with pytest.raises(ValueError, match=message):
+            asymptotic_lp_verdict(Lp(2.0), 2.0, n, [1, 3], epsilon=0.1, window=window, samples=5)
+
     def test_reports_carry_pool_parameters(self):
         verdict = asymptotic_lp_verdict(Lp(1.0), 1.0, 2, [1, 4], epsilon=0.1, samples=10)
         for row in verdict.rows:

@@ -9,7 +9,10 @@ cached subset tables and verify to one pass per sign family; James is not
 unconditional, so its verify still recolors every tuple.  The l_p, c_0 and
 interleaved stabilizations and the norm-quantized Milliken-Taylor search were
 hashed before norm-quantization colorings began to memoize colors by block
-class and Lp/C0 coordinates lost their index keys.
+class and Lp/C0 coordinates lost their index keys.  The example space at
+M = 14 and at max-n 3, M = 11, and James at M = 12, were hashed before the
+Milliken-Taylor search and verify colored coarsening families by distinct
+class tuple instead of enumerating them.
 """
 
 import hashlib
@@ -77,6 +80,27 @@ GOLDEN = {
             "--M", "10", "--net-step", "0.5", "--max-n", "2", "--verify",
         ],
         "b01b2c745e87ec96cec8c8ee1d08893e9aa7ce1f0973b815b7863c4514d70f62",
+    ),
+    "stabilize-m14": (
+        [
+            "stabilize-nccb", "--space", EXAMPLE_SPACE, "--M", "14",
+            "--net-step", "0.5", "--max-n", "2", "--verify",
+        ],
+        "7999a265675c582735897d815cd5af000c05f005f2f05a80cbda83e93653ac7c",
+    ),
+    "stabilize-max-n-3": (
+        [
+            "stabilize-nccb", "--space", EXAMPLE_SPACE, "--M", "11",
+            "--net-step", "0.5", "--max-n", "3", "--verify",
+        ],
+        "d10a55ffce9b1503b6e3f298c745e1ed209aeb59e73e9d32c318e324d6a2dde3",
+    ),
+    "stabilize-james-m12": (
+        [
+            "stabilize-nccb", "--space", '{"kind":"james"}', "--M", "12",
+            "--net-step", "0.5", "--max-n", "2", "--verify",
+        ],
+        "2fde559e472c35af6f0667d4ea92edd12641b6c184a819f50ebf7e378bf5127e",
     ),
     "milliken-norm-quant": (
         [
