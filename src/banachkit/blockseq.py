@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .combinatorics import Blocking, FiniteSet, InvalidBlockingError
+from .combinatorics import Blocking, FiniteSet, coarsen_by_indices
 from .spaces import InvalidVectorError, SparseVector, SpaceSpec, combination_norm
 
 __all__ = [
@@ -183,15 +183,7 @@ def nccb_of_sequence(spec: SpaceSpec, base: Sequence[SparseVector], E: Blocking)
 
 def merge_blocking(P: Blocking, E: Blocking) -> Blocking:
     """Blocking whose i-th block is the union of P's blocks at positions E_i."""
-    merged = []
-    for block in E:
-        elements: tuple[int, ...] = ()
-        for k in block:
-            if k < 1 or k > len(P):
-                raise InvalidBlockingError(f"position {k} outside 1..{len(P)}")
-            elements += P[k - 1].elements
-        merged.append(FiniteSet(elements))
-    return Blocking(merged)
+    return coarsen_by_indices(P, [b.elements for b in E])
 
 
 def combine(seq: Sequence[SparseVector], coeffs: Sequence[float], positions: Sequence[int]) -> SparseVector:

@@ -132,7 +132,10 @@ def _coloring_from_args(args, kind: str, ground: int, spec=None, arity: int | No
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, command: str, config: dict, result: dict, rows: list[list] | None = None) -> None:
+def _emit(args, result: dict, rows: list[list] | None = None) -> None:
+    command = args.command
+    # every option of the parsed subcommand, keyed by its option name
+    config = {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("command", "fn")}
     envelope = {
         "tool": "banachkit",
         "version": __version__,
@@ -168,13 +171,6 @@ def _flatten_rows(result: dict) -> list[list]:
     return rows
 
 
-def _config_of(args, keys: Sequence[str]) -> dict:
-    config = {"seed": getattr(args, "seed", None), "format": args.format}
-    for key in keys:
-        config[key] = getattr(args, key.replace("-", "_"), None)
-    return config
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -188,8 +184,7 @@ def _cmd_norm(args) -> int:
         "vector": vector.to_pairs(),
         "norm": spec.norm(vector),
     }
-    _emit(args, "norm", _config_of(args, ["space", "vector"]), result,
-          rows=[["norm"], [result["norm"]]])
+    _emit(args, result, rows=[["norm"], [result["norm"]]])
     return EXIT_OK
 
 
@@ -199,7 +194,7 @@ def _cmd_verify_example_space(args) -> int:
     result = report.to_doc()
     if report.vacuous:
         result["warning"] = "trials=0: sandwich check is vacuous"
-    _emit(args, "verify-example-space", _config_of(args, ["p", "ps", "trials"]), result)
+    _emit(args, result)
     return EXIT_OK if report.passed else EXIT_CHECKS_FAILED
 
 
@@ -226,8 +221,7 @@ def _cmd_goodness(args) -> int:
         net = _build_net(args)
     K, H = (args.horizon if args.horizon else (1, None))
     report = goodness_test(spec, seq, net, K=K, H=H, epsilon=args.epsilon)
-    config = _config_of(args, ["space", "blocking", "vectors", "demo", "net-step", "max-n", "epsilon", "horizon"])
-    _emit(args, "goodness", config, report.to_doc(), rows=report.to_rows())
+    _emit(args, report.to_doc(), rows=report.to_rows())
     return EXIT_OK
 
 
@@ -239,8 +233,7 @@ def _cmd_spreading(args) -> int:
     report = spreading_model_estimate(
         spec, seq, net, horizons, H=args.window, fit_reference_p=args.fit_p
     )
-    config = _config_of(args, ["space", "blocking", "vectors", "horizons", "net-step", "max-n", "window", "fit-p"])
-    _emit(args, "spreading", config, report.to_doc(), rows=report.to_rows())
+    _emit(args, report.to_doc(), rows=report.to_rows())
     return EXIT_OK
 
 
@@ -251,8 +244,7 @@ def _cmd_equivalence(args) -> int:
     report = equivalence_constant(
         spec, seq, LpReference(float(args.ref_p), n), net_step=args.net_step
     )
-    config = _config_of(args, ["space", "blocking", "vectors", "ref-p", "ref-n", "net-step"])
-    _emit(args, "equivalence", config, report.to_doc())
+    _emit(args, report.to_doc())
     return EXIT_OK
 
 
@@ -261,8 +253,7 @@ def _cmd_game(args) -> int:
     subspace = strategy_from_name(args.subspace, "subspace-player")
     vector = strategy_from_name(args.vector_player, "vector-player")
     transcript = play(spec, subspace, vector, args.rounds)
-    config = _config_of(args, ["space", "subspace", "vector-player", "rounds"])
-    _emit(args, "game", config, transcript.to_doc())
+    _emit(args, transcript.to_doc())
     return EXIT_OK
 
 
@@ -279,8 +270,7 @@ def _cmd_stabilized(args) -> int:
         seed=args.seed,
         samples=args.samples,
     )
-    config = _config_of(args, ["space", "p", "n", "schedule", "epsilon", "window", "samples"])
-    _emit(args, "stabilized", config, verdict.to_doc(), rows=verdict.to_rows())
+    _emit(args, verdict.to_doc(), rows=verdict.to_rows())
     return EXIT_OK
 
 
@@ -289,7 +279,7 @@ def _cmd_ramsey(args) -> int:
     cert = ramsey_search(coloring, args.k, args.L)
     sound = verify_ramsey_certificate(coloring, args.k, cert) if cert.found else True
     result = cert.to_doc() | {"certificate_verified": sound}
-    _emit(args, "ramsey", _config_of(args, ["coloring", "M", "k", "L"]), result)
+    _emit(args, result)
     return EXIT_OK if sound else EXIT_CHECKS_FAILED
 
 
@@ -298,7 +288,7 @@ def _cmd_hindman(args) -> int:
     cert = hindman_search(coloring, args.M, args.L)
     sound = verify_hindman_certificate(coloring, cert) if cert.found else True
     result = cert.to_doc() | {"certificate_verified": sound}
-    _emit(args, "hindman", _config_of(args, ["coloring", "M", "L"]), result)
+    _emit(args, result)
     return EXIT_OK if sound else EXIT_CHECKS_FAILED
 
 
@@ -315,7 +305,7 @@ def _cmd_milliken(args) -> int:
     cert = milliken_taylor_search(coloring, P, args.k, args.L)
     sound = verify_milliken_taylor_certificate(coloring, args.k, cert) if cert.found else True
     result = cert.to_doc() | {"certificate_verified": sound}
-    _emit(args, "milliken", _config_of(args, ["coloring", "P", "k", "L", "space", "coeffs", "quantum"]), result)
+    _emit(args, result)
     return EXIT_OK if sound else EXIT_CHECKS_FAILED
 
 
@@ -328,16 +318,14 @@ def _cmd_stabilize_nccb(args) -> int:
     if args.verify:
         ok = verify_stabilization(spec, result, net)
         doc["verified_monochromatic"] = ok
-    config = _config_of(args, ["space", "M", "net-step", "max-n", "epsilon", "quantum", "verify"])
-    _emit(args, "stabilize-nccb", config, doc)
+    _emit(args, doc)
     return EXIT_OK if ok else EXIT_CHECKS_FAILED
 
 
 def _cmd_krivine_p(args) -> int:
     spec = _load_space(args.space)
     report = krivine_p_estimate(spec, args.max_n, start=args.start)
-    config = _config_of(args, ["space", "max-n", "start"])
-    _emit(args, "krivine-p", config, report.to_doc())
+    _emit(args, report.to_doc())
     return EXIT_OK
 
 
@@ -346,8 +334,7 @@ def _cmd_extract(args) -> int:
     seq = _sequence_from_args(spec, args)
     net = _build_net(args)
     result = brunel_sucheston_extract(spec, seq, net, target_len=args.target_len)
-    config = _config_of(args, ["space", "blocking", "vectors", "net-step", "max-n", "target-len"])
-    _emit(args, "extract", config, result.to_doc())
+    _emit(args, result.to_doc())
     return EXIT_OK
 
 
@@ -451,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("game", help="run the subspace-vs-vector game")
     sub.add_argument("--space", required=True)
     sub.add_argument("--subspace", default="tail:1", help="constant:m or tail:lead")
-    sub.add_argument("--vector-player", default="unit", help="unit or nccb:width")
+    sub.add_argument("--vector-player", default="unit", help="unit, nccb:width or net:window:pick")
     sub.add_argument("--rounds", type=_at_least(0), default=4)
     _add_common(sub, net=False)
     sub.set_defaults(fn=_cmd_game)

@@ -758,16 +758,10 @@ def table_coloring(
 ) -> Coloring:
     """Coloring backed by canonical-encoding lookup; raises on missing keys."""
 
-    def fn_set(E: FiniteSet) -> int:
-        key = E.encode()
+    def fn(obj) -> int:
+        key = (obj if kind == "set" else Blocking(obj)).encode()
         if key not in table:
-            raise KeyError(f"coloring table has no entry for set {key}")
-        return table[key]
-
-    def fn_blocking(blocks: tuple[FiniteSet, ...]) -> int:
-        key = Blocking(blocks).encode()
-        if key not in table:
-            raise KeyError(f"coloring table has no entry for blocking {key}")
+            raise KeyError(f"coloring table has no entry for {kind} {key}")
         return table[key]
 
     r = colors if colors is not None else max(table.values(), default=0) + 1
@@ -775,7 +769,7 @@ def table_coloring(
         kind=kind,
         colors=max(r, 1),
         ground=ground,
-        fn=fn_set if kind == "set" else fn_blocking,
+        fn=fn,
         arity=arity,
         name="table",
     )

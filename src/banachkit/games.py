@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .blockseq import BlockSequence, BlockTree, branch
 from .combinatorics import _Report
-from .spaces import SparseVector, SpaceSpec, _p_doc
+from .spaces import InvalidVectorError, SparseVector, SpaceSpec, _check_exponent, _p_doc
 
 __all__ = [
     "GameTranscript",
@@ -113,28 +113,27 @@ def subspace_tail(lead: int = 1) -> Strategy:
     return Strategy("subspace-player", f"tail:{lead}", rule)
 
 
-def vector_unit() -> Strategy:
-    """Play the next admissible normalized unit basis vector."""
+def _vector_strategy(name: str, vector_at: Callable[[int], SparseVector]) -> Strategy:
+    """Play ``vector_at(j)``, normalized, at the first admissible index j."""
 
     def rule(rounds, cutoff: int, spec: SpaceSpec) -> SparseVector:
         past = max((y.max_index() for _, y in rounds), default=0)
-        j = max(cutoff, past + 1)
-        e = SparseVector.unit(j)
-        return e.scale(1.0 / spec.norm(e))
+        v = vector_at(max(cutoff, past + 1))
+        return v.scale(1.0 / spec.norm(v))
 
-    return Strategy("vector-player", "unit", rule)
+    return Strategy("vector-player", name, rule)
+
+
+def vector_unit() -> Strategy:
+    """Play the next admissible normalized unit basis vector."""
+    return _vector_strategy("unit", SparseVector.unit)
 
 
 def vector_nccb(width: int = 2) -> Strategy:
     """Play the normalized indicator of the next admissible index window."""
-
-    def rule(rounds, cutoff: int, spec: SpaceSpec) -> SparseVector:
-        past = max((y.max_index() for _, y in rounds), default=0)
-        j = max(cutoff, past + 1)
-        v = SparseVector.indicator(range(j, j + width))
-        return v.scale(1.0 / spec.norm(v))
-
-    return Strategy("vector-player", f"nccb:{width}", rule)
+    if width < 1:
+        raise ValueError(f"nccb width must be >= 1, got {width}")
+    return _vector_strategy(f"nccb:{width}", lambda j: SparseVector.indicator(range(j, j + width)))
 
 
 def vector_net(net: ScalarNet | None = None, window: int = 8, pick: int = 0) -> Strategy:
@@ -147,16 +146,14 @@ def vector_net(net: ScalarNet | None = None, window: int = 8, pick: int = 0) -> 
     finitely enumerable; this is the declared finite stand-in.
     """
     chosen_net = net if net is not None else ScalarNet.grid(step=0.5, max_len=2)
-
-    def rule(rounds, cutoff: int, spec: SpaceSpec) -> SparseVector:
-        past = max((y.max_index() for _, y in rounds), default=0)
-        j = max(cutoff, past + 1)
-        candidates = [t for t in chosen_net.tuples if len(t) <= window]
-        coeffs = candidates[pick % len(candidates)]
-        v = SparseVector({j + i: c for i, c in enumerate(coeffs) if c != 0.0})
-        return v.scale(1.0 / spec.norm(v))
-
-    return Strategy("vector-player", f"net:{window}:{pick}", rule)
+    candidates = [t for t in chosen_net.tuples if len(t) <= window]
+    if not candidates:
+        raise ValueError(f"net window {window} is shorter than every tuple of the net")
+    coeffs = candidates[pick % len(candidates)]
+    return _vector_strategy(
+        f"net:{window}:{pick}",
+        lambda j: SparseVector({j + i: c for i, c in enumerate(coeffs) if c != 0.0}),
+    )
 
 
 def strategy_from_name(text: str, role: str) -> Strategy:
@@ -337,17 +334,10 @@ def stabilized_constant(
     Samples normalized block n-tuples supported inside [N, N + window]
     (deterministic unit/pair candidates plus seeded random ones) and takes
     the worst equivalence constant.  A lower bound on the true stabilized
-    constant at cutoff N.
+    constant at cutoff N: the one row of ``asymptotic_lp_verdict`` over the
+    schedule [N].
     """
-    reference = LpReference(p, n)
-    if net is None:
-        net = ScalarNet.grid(step=0.25, max_len=n)
-    pool = _tuple_pool(spec, n, N, N + window, seed, samples)
-    constant, certificate, report = _max_constant(spec, reference, pool, net, {})
-    return AsymptoticReport(
-        n=n, N=N, constant=constant, certificate=certificate, certificate_report=report,
-        window=window, seed=seed, samples=samples, pool_size=len(pool), net=net,
-    )
+    return asymptotic_lp_verdict(spec, p, n, [N], 0.0, window, net, seed, samples).rows[0]
 
 
 @dataclass(frozen=True)
@@ -470,6 +460,12 @@ def good_branch_extract(
     tree's horizon, extraction continues on support alone but the result is
     not certified.  The branch is post-verified with the goodness test.
     """
+    _check_exponent(p)
+    for name, value, least in (
+        ("lead_samples", lead_samples, 0), ("lead_window", lead_window, 0), ("lead_max_n", lead_max_n, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if eps_rule is None:
         eps_rule = lambda n: 1.0 / n
     if net is None:
@@ -491,7 +487,7 @@ def good_branch_extract(
                         net=ScalarNet.grid(step=1.0, max_len=n_eff),
                         seed=seed, samples=lead_samples,
                     )
-                except ValueError:
+                except InvalidVectorError:  # the sample window ran past a finite space
                     break
                 if report.constant <= 1.0 + tol:
                     found = N

@@ -196,13 +196,15 @@ def _check_exponent(p: float) -> float:
 
 # Coordinates: every kind measures a vector through one formula,
 # ``coordinate_norm``, applied to its nonzero coordinates as (key, value)
-# pairs.  The key is whatever the formula needs besides the value: ``None``
-# for Lp and C0, whose formulas read values only, the index for James, an
-# LpSum segment; ``coordinates(v)`` computes the keys once.  Vectors with
-# equal coordinate lists are interchangeable for every norm computed from
-# them (``norm_quantization_coloring`` relies on it).  For vectors with successively increasing supports, the
-# concatenated coordinates are those of their sum, so a combination can be
-# measured from its parts without building it (``combination_norm``).
+# pairs, and every kind's ``norm(v)`` is ``coordinate_norm(coordinates(v))``.
+# The key is whatever the formula needs besides the value: ``None`` for Lp
+# and C0, whose formulas read values only, the index for James, an LpSum
+# segment; ``coordinates(v)`` computes the keys once.  Vectors with equal
+# coordinate lists are interchangeable for every norm computed from them
+# (``norm_quantization_coloring`` relies on it).  For vectors with
+# successively increasing supports, the concatenated coordinates are those
+# of their sum, so a combination can be measured from its parts without
+# building it (``combination_norm``).
 
 
 class _Space:
@@ -224,8 +226,7 @@ class _Space:
         raise NotImplementedError
 
     def norm(self, v: SparseVector) -> float:
-        # the entries view is these coordinates without the copy
-        return self.coordinate_norm(v._entries.items())
+        return self.coordinate_norm(self.coordinates(v))
 
 
 @dataclass(frozen=True)
@@ -339,9 +340,6 @@ class LpSum(_Space):
     def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
         return list(zip(self.segment_keys(v.support()), v._entries.values()))
 
-    def norm(self, v: SparseVector) -> float:
-        return self.coordinate_norm(self.coordinates(v))
-
     def coordinate_norm(self, coords) -> float:
         if not coords:
             return 0.0
@@ -402,10 +400,6 @@ class Interleave(_Space):
         return [((False, k), c) for k, c in self.a.coordinates(odd)] + [
             ((True, k), c) for k, c in self.b.coordinates(even)
         ]
-
-    def norm(self, v: SparseVector) -> float:
-        odd, even = self.split(v)
-        return self._outer(self.a.norm(odd), self.b.norm(even))
 
     def coordinate_norm(self, coords) -> float:
         na = self.a.coordinate_norm([(k, c) for (even, k), c in coords if not even])

@@ -20,7 +20,7 @@ from banachkit.blockseq import (
     subsequence_tree,
     tree_from_array,
 )
-from banachkit.combinatorics import Blocking, coarsenings, is_blocking
+from banachkit.combinatorics import Blocking, FiniteSet, InvalidBlockingError, coarsenings, is_blocking
 from banachkit.spaces import Lp, LpSum, SparseVector, norm
 
 
@@ -261,3 +261,37 @@ def test_every_materialized_branch_is_a_block_sequence(data):
     if path:
         b = branch(tree, path)
         assert isinstance(b, BlockSequence)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: merge_blocking against the loop it replaced, copied here
+# as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_merge_blocking(P, E):
+    merged = []
+    for block in E:
+        elements = ()
+        for k in block:
+            if k < 1 or k > len(P):
+                raise InvalidBlockingError(f"position {k} outside 1..{len(P)}")
+            elements += P[k - 1].elements
+        merged.append(FiniteSet(elements))
+    return Blocking(merged)
+
+
+def test_merge_blocking_matches_the_replaced_loop():
+    rng = Random(11)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        P = Blocking([range(3 * i + 1, 3 * i + 1 + rng.randint(1, 3)) for i in range(m)])
+        # positions up to m + 2, so some fall outside P
+        E = rng.choice(coarsenings(Blocking.singletons(m + 2), rng.randint(1, m + 2)))
+        try:
+            expected = oracle_merge_blocking(P, E)
+        except InvalidBlockingError:
+            with pytest.raises(InvalidBlockingError):
+                merge_blocking(P, E)
+        else:
+            assert merge_blocking(P, E) == expected

@@ -286,6 +286,10 @@ class TestAnalysisCommands:
                 "--window: must be an integer >= 0",
             ),
             (["game", "--space", LP2, "--rounds", "-2"], "--rounds: must be an integer >= 0"),
+            (["game", "--space", LP2, "--vector-player", "nccb:0"], "nccb width must be >= 1, got 0"),
+            (["game", "--space", LP2, "--vector-player", "nccb:-2"], "nccb width must be >= 1, got -2"),
+            (["game", "--space", LP2, "--vector-player", "net:0"], "net window 0 is shorter than every tuple"),
+            (["game", "--space", LP2, "--vector-player", "net:-1:0"], "net window -1 is shorter than every tuple"),
             (
                 ["spreading", "--space", LP2, "--blocking", "1|2|3|4", "--horizons", "1", "--window", "-2"],
                 "--window: must be an integer >= 0",
@@ -421,9 +425,9 @@ class TestOutputContracts:
         assert len(lines) > 3
 
     def test_json_reports_refuse_nan(self):
-        args = argparse.Namespace(format="json")
+        args = argparse.Namespace(command="norm", format="json")
         with pytest.raises(ValueError):
-            cli._emit(args, "norm", {}, {"norm": math.nan})
+            cli._emit(args, {"norm": math.nan})
 
     def test_infinity_outside_an_exponent_is_not_reported(self, monkeypatch):
         # only exponents are written as "inf"; any other infinite float stays

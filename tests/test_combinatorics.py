@@ -658,3 +658,49 @@ class TestEnumerationAgainstRecursiveOracle:
         args = (M, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 3)), data.draw(st.booleans()))
         expected = oracle_ramsey_search(lazy_set_coloring(*args), k, L)
         assert same_certificate(ramsey_search(lazy_set_coloring(*args), k, L), expected)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: table lookups against the per-kind functions they
+# replaced, copied here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_table_fn(table, kind):
+    def fn_set(E):
+        key = E.encode()
+        if key not in table:
+            raise KeyError(f"coloring table has no entry for set {key}")
+        return table[key]
+
+    def fn_blocking(blocks):
+        key = Blocking(blocks).encode()
+        if key not in table:
+            raise KeyError(f"coloring table has no entry for blocking {key}")
+        return table[key]
+
+    return fn_set if kind == "set" else fn_blocking
+
+
+def lookup(fn, obj):
+    try:
+        return fn(obj)
+    except KeyError as exc:
+        return str(exc)
+
+
+def test_table_lookups_match_the_replaced_functions():
+    sets = [FiniteSet(E) for r in (1, 2) for E in combinations(range(1, 6), r)]
+    set_table = {E.encode(): i % 3 for i, E in enumerate(sets) if i % 4}
+    coloring = table_coloring(set_table, kind="set", ground=5)
+    oracle = oracle_table_fn(set_table, "set")
+    assert [lookup(coloring.fn, E) for E in sets] == [lookup(oracle, E) for E in sets]
+    assert "'coloring table has no entry for set 1'" in [lookup(oracle, E) for E in sets]
+
+    blockings = coarsenings(Blocking.singletons(5), 2)
+    blocking_table = {F.encode(): i % 2 for i, F in enumerate(blockings) if i % 3}
+    coloring = table_coloring(blocking_table, kind="blocking", ground=5, arity=2)
+    oracle = oracle_table_fn(blocking_table, "blocking")
+    tuples = [tuple(F) for F in blockings]
+    assert [lookup(coloring.fn, F) for F in tuples] == [lookup(oracle, F) for F in tuples]
+    assert "'coloring table has no entry for blocking 1|2'" in [lookup(oracle, F) for F in tuples]

@@ -1,11 +1,12 @@
 """Game protocol, sampled asymptotic constants, and branch extraction."""
 
+import json
 import math
 
 import pytest
 
 from banachkit import games
-from banachkit.analysis import LpReference, equivalence_constant
+from banachkit.analysis import LpReference, ScalarNet, equivalence_constant
 from banachkit.blockseq import (
     BlockSequence,
     interleave_array,
@@ -23,9 +24,10 @@ from banachkit.games import (
     subspace_constant,
     subspace_tail,
     vector_nccb,
+    vector_net,
     vector_unit,
 )
-from banachkit.spaces import Interleave, Lp, SparseVector, make_example_space, norm
+from banachkit.spaces import Interleave, James, Lp, LpSum, SparseVector, make_example_space, norm
 
 
 def unit(i):
@@ -122,6 +124,20 @@ class TestPlay:
             for _, y in t.moves:
                 assert abs(norm(Lp(2.0), y) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: vector_nccb(0), "nccb width must be >= 1, got 0"),
+            (lambda: vector_nccb(-2), "nccb width must be >= 1, got -2"),
+            (lambda: vector_net(window=0), "net window 0 is shorter than every tuple"),
+            (lambda: vector_net(window=-1, pick=0), "net window -1 is shorter than every tuple"),
+            (lambda: vector_net(ScalarNet.grid(step=1.0, max_len=2), window=0), "net window 0"),
+        ],
+    )
+    def test_degenerate_vector_players_rejected_when_built(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_strategy_registry(self):
         assert strategy_from_name("constant:4", "subspace-player").name == "constant:4"
         assert strategy_from_name("tail:2", "subspace-player").name == "tail:2"
@@ -156,6 +172,18 @@ class TestStabilizedConstant:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             stabilized_constant(Lp(2.0), 2.0, 4, 1, window=2, samples=5)
+
+    @pytest.mark.parametrize(
+        "n, window, samples, message",
+        [(0, 8, 5, "n must be >= 1"), (2, -1, 5, "window must be >= 0"), (2, 8, -1, "samples must be >= 0")],
+    )
+    def test_counts_rejected_before_sampling(self, monkeypatch, n, window, samples, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sampled with an invalid count")
+
+        monkeypatch.setattr(games, "_tuple_pool", no_pool)
+        with pytest.raises(ValueError, match=message):
+            stabilized_constant(Lp(2.0), 2.0, n, 3, window=window, samples=samples)
 
 
 class TestAsymptoticVerdict:
@@ -247,6 +275,36 @@ class TestGoodBranchExtract:
         assert not result.complete
         assert len(result.branch) < 6
 
+    @pytest.mark.parametrize(
+        "p, kwargs, message",
+        [
+            (0.5, {}, "exponent p=0.5 outside"),
+            (2.0, {"lead_max_n": 0}, "lead_max_n must be >= 1, got 0"),
+            (2.0, {"lead_samples": -1}, "lead_samples must be >= 0, got -1"),
+            (2.0, {"lead_window": -1}, "lead_window must be >= 0, got -1"),
+        ],
+    )
+    def test_config_errors_raise_before_any_lead(self, monkeypatch, p, kwargs, message):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled a lead with an invalid configuration")
+
+        monkeypatch.setattr(games, "stabilized_constant", never)
+        tree = subsequence_tree([unit(i) for i in range(1, 9)], depth=3, width=2)
+        with pytest.raises(ValueError, match=message):
+            good_branch_extract(tree, Lp(2.0), p, **kwargs)
+
+    def test_window_too_short_for_the_tuples_raises(self):
+        tree = subsequence_tree([unit(i) for i in range(1, 9)], depth=3, width=2)
+        with pytest.raises(ValueError, match="cannot host block 2-tuples"):
+            good_branch_extract(tree, Lp(2.0), 2.0, lead_window=0)
+
+    def test_doubling_stops_where_a_finite_space_ends(self):
+        spec = LpSum(2.0, (1.0, 1.5), (3, 4))
+        tree = subsequence_tree([unit(i) for i in range(1, 8)], depth=3, width=2)
+        result = good_branch_extract(tree, spec, 2.0)
+        assert result.metadata["leads"] == {"1": None, "2": None, "3": None}
+        assert not result.certified
+
     def test_example_space_branch_oscillation_shrinks(self):
         from banachkit.analysis import ScalarNet, goodness_test
 
@@ -258,3 +316,71 @@ class TestGoodBranchExtract:
         early = goodness_test(spec, list(result.branch), net, K=1, H=5, epsilon=1e-9)
         late = goodness_test(spec, list(result.branch), net, K=7, H=5, epsilon=1e-9)
         assert late.max_oscillation() < early.max_oscillation()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the one-cutoff constant and the vector players against
+# the bodies they replaced, copied here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_stabilized_constant(spec, p, n, N, window=24, net=None, seed=0, samples=40):
+    reference = LpReference(p, n)
+    if net is None:
+        net = ScalarNet.grid(step=0.25, max_len=n)
+    pool = games._tuple_pool(spec, n, N, N + window, seed, samples)
+    constant, certificate, report = games._max_constant(spec, reference, pool, net, {})
+    return games.AsymptoticReport(
+        n=n, N=N, constant=constant, certificate=certificate, certificate_report=report,
+        window=window, seed=seed, samples=samples, pool_size=len(pool), net=net,
+    )
+
+
+def oracle_vector_net(window=8, pick=0):
+    chosen_net = ScalarNet.grid(step=0.5, max_len=2)
+
+    def rule(rounds, cutoff, spec):
+        past = max((y.max_index() for _, y in rounds), default=0)
+        j = max(cutoff, past + 1)
+        candidates = [t for t in chosen_net.tuples if len(t) <= window]
+        coeffs = candidates[pick % len(candidates)]
+        v = SparseVector({j + i: c for i, c in enumerate(coeffs) if c != 0.0})
+        return v.scale(1.0 / spec.norm(v))
+
+    return Strategy("vector-player", f"net:{window}:{pick}", rule)
+
+
+def doc_bytes(report):
+    return json.dumps(report.to_doc(), sort_keys=True, allow_nan=False)
+
+
+class TestAgainstReplacedBodies:
+    SPACES = [
+        Lp(2.0),
+        Lp(1.0),
+        interleave_space(),
+        make_example_space(2.0, 3, [1.0, 1.5, 1.8]),
+        Interleave(LpSum(2.0, (1.0, 1.5), (4, 40)), James(), "sum"),
+    ]
+
+    @pytest.mark.parametrize("spec", SPACES, ids=lambda spec: spec.to_doc()["kind"])
+    def test_stabilized_constant_report_bytes(self, spec):
+        for n, N, window, seed, samples in [
+            (1, 1, 6, 0, 5), (2, 1, 8, 3, 10), (2, 5, 10, 11, 0), (3, 2, 9, 4, 6), (2, 30, 4, 1, 8),
+        ]:
+            args = (spec, 2.0, n, N)
+            kwargs = dict(window=window, seed=seed, samples=samples)
+            assert doc_bytes(stabilized_constant(*args, **kwargs)) == doc_bytes(
+                oracle_stabilized_constant(*args, **kwargs)
+            )
+        net = ScalarNet.grid(step=1.0, max_len=2)
+        assert doc_bytes(stabilized_constant(spec, 1.5, 2, 3, net=net, samples=4)) == doc_bytes(
+            oracle_stabilized_constant(spec, 1.5, 2, 3, net=net, samples=4)
+        )
+
+    @pytest.mark.parametrize("window, pick", [(8, 0), (1, 3), (2, 7), (4, -2), (8, 1000)])
+    def test_net_player_moves(self, window, pick):
+        for spec in (Lp(2.0), interleave_space(), make_example_space(2.0, 3, [1.0, 1.5, 1.8])):
+            played = play(spec, subspace_tail(2), vector_net(window=window, pick=pick), 5)
+            expected = play(spec, subspace_tail(2), oracle_vector_net(window, pick), 5)
+            assert played == expected

@@ -12,7 +12,11 @@ hashed before norm-quantization colorings began to memoize colors by block
 class and Lp/C0 coordinates lost their index keys.  The example space at
 M = 14 and at max-n 3, M = 11, and James at M = 12, were hashed before the
 Milliken-Taylor search and verify colored coarsening families by distinct
-class tuple instead of enumerating them.
+class tuple instead of enumerating them.  The norm, game, krivine-p,
+equivalence, spreading, extract, ramsey, hindman and parity/constant
+milliken reports, and the CSV stabilized table, were hashed before every
+command's report configuration was read from its parsed options instead of
+a key list per command.
 """
 
 import hashlib
@@ -28,6 +32,7 @@ EXAMPLE_SPACE = json.dumps(
     {"kind": "lp_sum", "p": 2.0, "ps": [1.0, 1.5, 1.8], "ns": [2, 65, 3**18 + 1]},
     separators=(",", ":"),
 )
+INTERLEAVE = '{"kind":"interleave","a":{"kind":"lp","p":1},"b":{"kind":"lp","p":2}}'
 
 GOLDEN = {
     "goodness": (
@@ -108,6 +113,63 @@ GOLDEN = {
             "--k", "2", "--L", "4", "--space", EXAMPLE_SPACE,
         ],
         "d292d8177def7a59255b072722559568dda2c7e6039dd137e108c9922a45cf6d",
+    ),
+    "norm-interleave": (
+        ["norm", "--space", INTERLEAVE, "--vector", "1:1,2:-0.5,5:2"],
+        "b7a6376b7a9fc2a966f8717387f56f0a166b445a666a19b8c04657e7a33c0609",
+    ),
+    "game-nccb": (
+        ["game", "--space", INTERLEAVE, "--vector-player", "nccb:3", "--subspace", "constant:2"],
+        "2f3ab9b5e19dcbb7046ade2db8d91696d042f98ed9b1b4cabf79fbb490d25ed4",
+    ),
+    "game-net": (
+        ["game", "--space", EXAMPLE_SPACE, "--vector-player", "net:4:3", "--rounds", "5"],
+        "5e661dd68235c07b5949fe2a9c8b12e359c91c3c8c615b746f403ec509d97016",
+    ),
+    "krivine-p": (
+        ["krivine-p", "--space", INTERLEAVE, "--max-n", "8", "--start", "2"],
+        "ec44e86e027136e894dc9c13c68e8d78506323b12f49becfea5bf1381db17dab",
+    ),
+    "equivalence-inf": (
+        ["equivalence", "--space", '{"kind":"c0"}', "--blocking", "1|2|3", "--ref-p", "inf"],
+        "262efe037f3d7308d3f2734b5b9c9f7b2eac9aa52ed48c598457d4eef3cc1225",
+    ),
+    "spreading-fit-p": (
+        [
+            "spreading", "--space", INTERLEAVE, "--blocking", "1|2|3|4|5|6|7|8|9|10",
+            "--horizons", "1,3,5", "--fit-p",
+        ],
+        "b1b9bb7a0b7e90738190dbbe1e0a1d9c5467053cd7b20308b8cbdb1b1a422695",
+    ),
+    "extract": (
+        [
+            "extract", "--space", EXAMPLE_SPACE, "--blocking", "1|2|3|4|5|6|7|8|9|10|11|12",
+            "--target-len", "4",
+        ],
+        "1f42ff60fab9a25b978c14454a62ce9321d7ad2b51544416043c0d800084c065",
+    ),
+    "ramsey": (
+        ["ramsey", "--coloring", "min-parity", "--M", "10", "--k", "2", "--L", "3"],
+        "97f8f41c63e855575ca6a4a31a704f8ed6b8d944c03080f0025529e9130069f6",
+    ),
+    "hindman": (
+        ["hindman", "--coloring", "min-parity", "--M", "10", "--L", "3"],
+        "379085b3c17d7bafa5e7dd397b76010ae49e5eaeae92be3af3c39e60c6df375d",
+    ),
+    "milliken-first-min-parity": (
+        ["milliken", "--coloring", "first-min-parity", "--P", "singletons:8", "--k", "2", "--L", "3"],
+        "c3d0b013d32ee4caab0d84722af4eb15431306dc393943590021740c0147b520",
+    ),
+    "milliken-constant": (
+        ["milliken", "--coloring", "constant:1", "--P", "singletons:6", "--k", "2", "--L", "3"],
+        "defbf558efac99c51cf77a4238ac090817b00d665c73ad3980230f5d349371a8",
+    ),
+    "stabilized-csv": (
+        [
+            "stabilized", "--space", '{"kind":"lp","p":2}', "--n", "2", "--schedule", "1,6",
+            "--window", "8", "--samples", "12", "--seed", "9", "--format", "csv",
+        ],
+        "cb9957b7db91f6705ef44ca81bd64b861019ac93a1aa3864a5af075979b5609c",
     ),
 }
 

@@ -310,3 +310,53 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidSpecError):
             space_from_doc({"kind": "tsirelson"})
+
+
+# ---------------------------------------------------------------------------
+# Differential test: every kind's norm against the per-kind entry points it
+# replaced (the items view for Lp, C0 and James, coordinates for LpSum, the
+# split for Interleave), copied here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_norm(spec, v):
+    if isinstance(spec, LpSum):
+        return spec.coordinate_norm(spec.coordinates(v))
+    if isinstance(spec, Interleave):
+        odd, even = spec.split(v)
+        return spec._outer(oracle_norm(spec.a, odd), oracle_norm(spec.b, even))
+    return spec.coordinate_norm(v._entries.items())
+
+
+NORM_BATTERY = [
+    Lp(1.0),
+    Lp(1.5),
+    Lp(2.0),
+    Lp(math.inf),
+    C0(),
+    James(),
+    LpSum(2.0, (1.0, 1.5), (3, 4)),
+    LpSum(1.5, (1.0, 1.2, 1.4), (2, 3, 40)),
+    Interleave(Lp(1.0), Lp(2.0), "max"),
+    Interleave(LpSum(2.0, (1.0, 1.5), (4, 12)), James(), "sum"),
+    Interleave(James(), LpSum(1.5, (1.0, 1.5), (6, 10)), "max"),
+    Interleave(C0(), Lp(math.inf), "sum"),
+]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", NORM_BATTERY, ids=lambda spec: json.dumps(spec.to_doc()))
+def test_norm_matches_the_per_kind_entry_points(spec):
+    rng = Random(7)
+    vectors = [SparseVector()] + [random_sparse_vector(rng, max_index=30) for _ in range(300)]
+    vectors += [random_sparse_vector(rng, max_index=8) for _ in range(300)]
+    vectors += [SparseVector({i: 10.0 ** rng.randint(-200, 200) for i in (1, 2, 5)}) for _ in range(20)]
+    for v in vectors:
+        # the same value bit for bit, or the same error past an LpSum's segments
+        assert outcome(lambda: spec.norm(v)) == outcome(lambda: oracle_norm(spec, v))
