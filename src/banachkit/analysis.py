@@ -31,7 +31,6 @@ from .combinatorics import (
     BlockClasses,
     Coloring,
     FiniteSet,
-    SearchCertificate,
     _Report,
     _coarsening_colors,
     milliken_taylor_search,
@@ -794,18 +793,11 @@ def nccb_stabilize(
             )
             continue
         coloring = norm_quantization_coloring(spec, coeffs, quantum, M, cache=cache)
-        cert: SearchCertificate | None = None
+        # L = n always succeeds: a length-n blocking is its own only length-n coarsening
         for L in range(len(current), n - 1, -1):
-            attempt = milliken_taylor_search(coloring, current, k=n, L=L)
-            if attempt.found:
-                cert = attempt
+            cert = milliken_taylor_search(coloring, current, k=n, L=L)
+            if cert.found:
                 break
-        if cert is None:
-            # L = n always succeeds (a length-n coarsening generates only
-            # itself), so this branch means len(current) < n, handled above.
-            complete = False
-            steps.append(StabilizationStep(tuple(coeffs), len(current), False, None, 0, current))
-            continue
         current = cert.witness
         steps.append(
             StabilizationStep(

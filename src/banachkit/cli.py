@@ -521,7 +521,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+        # str() of a KeyError quotes its message
+        sys.stderr.write(f"config error: {exc.args[0] if isinstance(exc, KeyError) else exc}\n")
         return EXIT_USAGE
 
 

@@ -372,6 +372,21 @@ def coarsen_by_indices(P: Blocking, index_sets: Sequence[Sequence[int]]) -> Bloc
     return Blocking(blocks)
 
 
+def _index_tuples(n: int, k: int, lo: int = 1) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """k successively increasing nonempty subsets of {lo..n}, in lexicographic order.
+
+    Each set is drawn from {lo..n - k + 1}, which leaves room above it for
+    the k - 1 sets still to come.
+    """
+    for subset in _subsets_from(lo, n - k + 1):
+        head = (subset,)
+        if k == 1:
+            yield head
+        else:
+            for rest in _index_tuples(n, k - 1, subset[-1] + 1):
+                yield head + rest
+
+
 def coarsenings(P: Blocking, k: int) -> list[Blocking]:
     """All length-k blockings coarser than P, in lexicographic order.
 
@@ -381,28 +396,10 @@ def coarsenings(P: Blocking, k: int) -> list[Blocking]:
     index sets, which makes golden tests stable.  k = 0 or k > len(P) gives
     the empty list.
     """
-    n = len(P)
-    if k < 1 or k > n:
+    if k < 1:
         return []
-    unions = _Unions(P)
-    results: list[Blocking] = []
-
-    def extend(chosen: tuple[FiniteSet, ...], lo: int) -> None:
-        remaining = k - len(chosen)
-        for subset in _subsets_from(lo, n):
-            # blocks above max(subset) must still host the remaining sets
-            if n - subset[-1] >= remaining - 1:
-                blocks = chosen + (unions[subset],)
-                if remaining == 1:
-                    results.append(Blocking._trusted(blocks))
-                else:
-                    extend(blocks, subset[-1] + 1)
-
-    extend((), 1)
-    # extend reaches itself through its closure; deleting the name breaks
-    # that cycle, so the memo is freed now rather than by the cycle collector
-    del extend
-    return results
+    union_at = _Unions(P).__getitem__
+    return [Blocking._trusted(tuple(map(union_at, sets))) for sets in _index_tuples(len(P), k)]
 
 
 def finite_unions(Q: Blocking) -> list[FiniteSet]:
@@ -478,7 +475,7 @@ def _search(
         return None
 
     cert = extend((), None, 1)
-    # as in coarsenings: free the memos and the coloring's caches now
+    # deleting extend breaks its closure's cycle, freeing memos and coloring caches now
     del extend
     return cert if cert is not None else SearchCertificate(False, None, None, nodes)
 
@@ -544,17 +541,7 @@ def _arity_tuples_with_last(j: int, k: int) -> Iterator[tuple[tuple[int, ...], .
     Index sets are successively increasing; these are exactly the length-k
     coarsenings of a j-block prefix that involve block j.
     """
-    def extend(chosen: tuple[tuple[int, ...], ...], lo: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(chosen) == k - 1:
-            for last in _subsets_from(lo, j):
-                if last[-1] == j:
-                    yield chosen + (last,)
-            return
-        for subset in _subsets_from(lo, j):
-            if subset[-1] < j:
-                yield from extend(chosen + (subset,), subset[-1] + 1)
-
-    yield from extend((), 1)
+    return (index_sets for index_sets in _index_tuples(j, k) if index_sets[-1][-1] == j)
 
 
 @lru_cache(maxsize=None)

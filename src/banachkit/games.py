@@ -99,11 +99,15 @@ class Strategy:
 
 
 def subspace_constant(m: int) -> Strategy:
+    if m < 1:
+        raise ValueError(f"constant cutoff m must be >= 1, got {m}")
     return Strategy("subspace-player", f"constant:{m}", lambda rounds, spec: m)
 
 
 def subspace_tail(lead: int = 1) -> Strategy:
     """Cutoff one past the maximum support seen, plus an optional lead."""
+    if lead < 0:
+        raise ValueError(f"tail lead must be >= 0, got {lead}")
 
     def rule(rounds, spec) -> int:
         if not rounds:
@@ -222,20 +226,15 @@ def play(spec: SpaceSpec, subspace: Strategy, vector: Strategy, n: int) -> GameT
 def _structured_tuples(
     spec: SpaceSpec, n: int, lo: int, hi: int
 ) -> list[BlockSequence]:
-    """Deterministic candidates: consecutive normalized units and pair blocks."""
+    """Deterministic candidates: consecutive normalized units, then pair blocks."""
     out = []
-    for start in range(lo, hi - n + 2):
-        vectors = []
-        for i in range(n):
-            e = SparseVector.unit(start + i)
-            vectors.append(e.scale(1.0 / spec.norm(e)))
-        out.append(BlockSequence(vectors))
-    for start in range(lo, hi - 2 * n + 2):
-        vectors = []
-        for i in range(n):
-            v = SparseVector.indicator((start + 2 * i, start + 2 * i + 1))
-            vectors.append(v.scale(1.0 / spec.norm(v)))
-        out.append(BlockSequence(vectors))
+    for width in (1, 2):
+        for start in range(lo, hi - width * n + 2):
+            vectors = []
+            for i in range(start, start + width * n, width):
+                v = SparseVector.indicator(range(i, i + width))
+                vectors.append(v.scale(1.0 / spec.norm(v)))
+            out.append(BlockSequence(vectors))
     return out
 
 
@@ -244,27 +243,22 @@ def _random_tuples(
 ) -> list[BlockSequence]:
     rng = Random(seed)
     out = []
-    span = hi - lo + 1
-    if span < 2 * n:
+    if hi - lo + 1 < 2 * n:
         return out
     for _ in range(count):
         cursor = rng.randint(lo, max(lo, hi - 2 * n))
         vectors = []
-        ok = True
         for _ in range(n):
             size = rng.randint(1, 3)
             top = min(cursor + size + 3, hi)
             if cursor > top:
-                ok = False
                 break
             indices = sorted(rng.sample(range(cursor, top + 1), min(size, top - cursor + 1)))
             coeffs = [rng.uniform(-1.0, 1.0) or 0.5 for _ in indices]
             v = SparseVector({i: c for i, c in zip(indices, coeffs)})
             vectors.append(v.scale(1.0 / spec.norm(v)))
             cursor = max(indices) + 1 + rng.randint(0, 2)
-            if cursor > hi:
-                ok = ok and len(vectors) == n
-        if ok and len(vectors) == n:
+        else:
             out.append(BlockSequence(vectors))
     return out
 
@@ -386,6 +380,8 @@ def asymptotic_lp_verdict(
     """
     if not schedule:
         raise ValueError("need a nonempty cutoff schedule")
+    if min(schedule) < 1:
+        raise ValueError(f"schedule cutoffs must be >= 1, got {min(schedule)}")
     _check_epsilon(epsilon)
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")

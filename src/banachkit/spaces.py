@@ -595,18 +595,21 @@ def space_from_doc(doc: dict) -> SpaceSpec:
         kind = doc["kind"]
     except (TypeError, KeyError) as exc:
         raise InvalidSpecError(f"space document {doc!r} has no 'kind'") from exc
-    if kind == "lp":
-        return Lp(p=_parse_p(doc["p"]))
-    if kind == "c0":
-        return C0()
-    if kind == "lp_sum":
-        return LpSum(p=float(doc["p"]), ps=tuple(doc["ps"]), ns=tuple(doc["ns"]))
-    if kind == "interleave":
-        return Interleave(
-            a=space_from_doc(doc["a"]),
-            b=space_from_doc(doc["b"]),
-            outer=doc.get("outer", "max"),
-        )
+    try:
+        if kind == "lp":
+            return Lp(p=_parse_p(doc["p"]))
+        if kind == "c0":
+            return C0()
+        if kind == "lp_sum":
+            return LpSum(p=float(doc["p"]), ps=tuple(doc["ps"]), ns=tuple(doc["ns"]))
+        if kind == "interleave":
+            return Interleave(
+                a=space_from_doc(doc["a"]),
+                b=space_from_doc(doc["b"]),
+                outer=doc.get("outer", "max"),
+            )
+    except KeyError as exc:
+        raise InvalidSpecError(f"{kind} space document has no {exc.args[0]!r}") from exc
     if kind == "james":
         return James()
     raise InvalidSpecError(f"unknown space kind {kind!r}")

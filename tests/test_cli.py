@@ -64,6 +64,19 @@ class TestNormCommand:
         code, _, err = run_cli("norm", "--space", '{"kind":"nope"}', "--vector", "1:1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ('{"kind":"lp"}', "lp space document has no 'p'"),
+            ('{"kind":"lp_sum","p":2,"ps":[1]}', "lp_sum space document has no 'ns'"),
+            ('{"kind":"interleave","a":{"kind":"c0"}}', "interleave space document has no 'b'"),
+            ('{"kind":"interleave","a":{"kind":"lp"},"b":{"kind":"c0"}}', "lp space document has no 'p'"),
+        ],
+    )
+    def test_space_without_a_field_names_kind_and_field(self, space, message):
+        code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
     @pytest.mark.parametrize("entry", ["1:nan", "1:inf", "2:-inf"])
     def test_non_finite_vector_is_usage_error(self, entry):
         code, out, err = run_cli("norm", "--space", LP2, "--vector", entry)
@@ -140,6 +153,14 @@ class TestSearchCommands:
         assert code == 2
         assert out == ""
         assert "arity" in err
+
+    def test_partial_coloring_table_error_is_not_quoted(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("1|2 0\n1|3 0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "milliken", "--coloring", f"table:{path}", "--P", "singletons:4", "--k", "2", "--L", "3"
+        )
+        assert (code, out, err) == (2, "", "config error: coloring table has no entry for blocking 1|2,3\n")
 
     def test_found_false_is_ordinary(self):
         code, doc = run_json("ramsey", "--coloring", "sum-parity", "--M", "4", "--k", "2", "--L", "4")
@@ -308,6 +329,8 @@ class TestAnalysisCommands:
             (["extract", "--space", LP2, "--blocking", "1|2|3|4", "--target-len", "-1"], "--target-len: must be an integer >= 1"),
             (["krivine-p", "--space", LP2, "--start", "0"], "--start: must be an integer >= 1"),
             (["krivine-p", "--space", LP2, "--start", "-5"], "--start: must be an integer >= 1"),
+            (["game", "--space", LP2, "--subspace", "tail:-3", "--rounds", "3"], "tail lead must be >= 0, got -3"),
+            (["game", "--space", LP2, "--subspace", "constant:0"], "constant cutoff m must be >= 1, got 0"),
             (["hindman", "--coloring", "constant:-1", "--M", "3", "--L", "2"], "constant color must be >= 0, got -1"),
             (
                 ["equivalence", "--space", LP2, "--blocking", "1|2|3", "--max-n", "2"],
@@ -352,6 +375,17 @@ class TestAnalysisCommands:
         assert code == 2
         assert out == ""
         assert f"exponent p={p} outside [1, inf]" in err
+
+    @pytest.mark.parametrize("schedule, low", [("0,5", 0), ("-4,5", -4), ("5,3,-1", -1)])
+    def test_cutoff_below_one_is_usage_error(self, monkeypatch, schedule, low):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled for a cutoff below 1")
+
+        # the check sits inside asymptotic_lp_verdict, ahead of its sampling
+        monkeypatch.setattr(games, "_tuple_pool", never)
+        argv = ["stabilized", "--space", LP2, "--n", "2", f"--schedule={schedule}", "--samples", "3"]
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", f"config error: schedule cutoffs must be >= 1, got {low}\n")
 
     @pytest.mark.parametrize("ref_n, expected", [(None, 3), ("1", 1), ("2", 2)])
     def test_ref_n_is_used_as_given(self, ref_n, expected):

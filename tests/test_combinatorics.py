@@ -592,7 +592,7 @@ class TestEnumerationAgainstRecursiveOracle:
                 assert list(_subsets_from(lo, n)) == list(oracle_subsets_lex(tuple(range(lo, n + 1))))
 
     def test_arity_tables(self):
-        for j in range(1, 9):
+        for j in range(1, 13):
             for k in range(1, min(j, 3) + 1):
                 assert list(_arity_tuples(j, k)) == list(oracle_arity_tuples_with_last(j, k))
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from banachkit import games
 from banachkit.analysis import LpReference, ScalarNet, equivalence_constant
@@ -138,6 +140,28 @@ class TestPlay:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: subspace_tail(-1), "tail lead must be >= 0, got -1"),
+            (lambda: subspace_tail(-3), "tail lead must be >= 0, got -3"),
+            (lambda: subspace_constant(0), "constant cutoff m must be >= 1, got 0"),
+            (lambda: subspace_constant(-2), "constant cutoff m must be >= 1, got -2"),
+            (lambda: strategy_from_name("tail:-3", "subspace-player"), "tail lead must be >= 0"),
+            (lambda: strategy_from_name("constant:0", "subspace-player"), "constant cutoff m must be >= 1"),
+        ],
+    )
+    def test_degenerate_subspace_players_rejected_when_built(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_zero_tail_lead_is_legal(self):
+        tail = strategy_from_name("tail:0", "subspace-player")
+        t = play(Lp(2.0), tail, vector_unit(), 3)
+        # the first cutoff is 1; each later one is the last support, already played past
+        assert [m for m, _ in t.moves] == [1, 1, 2]
+        assert [y.support() for _, y in t.moves] == [(1,), (2,), (3,)]
+
     def test_strategy_registry(self):
         assert strategy_from_name("constant:4", "subspace-player").name == "constant:4"
         assert strategy_from_name("tail:2", "subspace-player").name == "tail:2"
@@ -237,6 +261,19 @@ class TestAsymptoticVerdict:
         with pytest.raises(ValueError, match=message):
             asymptotic_lp_verdict(Lp(2.0), 2.0, n, [1, 3], epsilon=0.1, window=window, samples=5)
 
+    @pytest.mark.parametrize("schedule, low", [([0, 5], 0), ([5, -4], -4), ([3, 1, -1, 2], -1)])
+    def test_cutoff_below_one_rejected_before_sampling(self, monkeypatch, schedule, low):
+        def never(*args, **kwargs):
+            raise AssertionError("built a reference or a pool for a cutoff below 1")
+
+        monkeypatch.setattr(games, "LpReference", never)
+        monkeypatch.setattr(games, "_tuple_pool", never)
+        message = f"schedule cutoffs must be >= 1, got {low}"
+        with pytest.raises(ValueError, match=message):
+            asymptotic_lp_verdict(Lp(2.0), 2.0, 2, schedule, epsilon=0.1, samples=5)
+        with pytest.raises(ValueError, match=message):
+            stabilized_constant(Lp(2.0), 2.0, 2, low, samples=5)
+
     def test_reports_carry_pool_parameters(self):
         verdict = asymptotic_lp_verdict(Lp(1.0), 1.0, 2, [1, 4], epsilon=0.1, samples=10)
         for row in verdict.rows:
@@ -319,8 +356,8 @@ class TestGoodBranchExtract:
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: the one-cutoff constant and the vector players against
-# the bodies they replaced, copied here as the oracle.
+# Differential tests: the one-cutoff constant, the vector players and the
+# tuple pool against the bodies they replaced, copied here as the oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -350,6 +387,51 @@ def oracle_vector_net(window=8, pick=0):
     return Strategy("vector-player", f"net:{window}:{pick}", rule)
 
 
+def oracle_structured_tuples(spec, n, lo, hi):
+    out = []
+    for start in range(lo, hi - n + 2):
+        vectors = []
+        for i in range(n):
+            e = SparseVector.unit(start + i)
+            vectors.append(e.scale(1.0 / spec.norm(e)))
+        out.append(BlockSequence(vectors))
+    for start in range(lo, hi - 2 * n + 2):
+        vectors = []
+        for i in range(n):
+            v = SparseVector.indicator((start + 2 * i, start + 2 * i + 1))
+            vectors.append(v.scale(1.0 / spec.norm(v)))
+        out.append(BlockSequence(vectors))
+    return out
+
+
+def oracle_random_tuples(spec, n, lo, hi, seed, count):
+    rng = Random(seed)
+    out = []
+    span = hi - lo + 1
+    if span < 2 * n:
+        return out
+    for _ in range(count):
+        cursor = rng.randint(lo, max(lo, hi - 2 * n))
+        vectors = []
+        ok = True
+        for _ in range(n):
+            size = rng.randint(1, 3)
+            top = min(cursor + size + 3, hi)
+            if cursor > top:
+                ok = False
+                break
+            indices = sorted(rng.sample(range(cursor, top + 1), min(size, top - cursor + 1)))
+            coeffs = [rng.uniform(-1.0, 1.0) or 0.5 for _ in indices]
+            v = SparseVector({i: c for i, c in zip(indices, coeffs)})
+            vectors.append(v.scale(1.0 / spec.norm(v)))
+            cursor = max(indices) + 1 + rng.randint(0, 2)
+            if cursor > hi:
+                ok = ok and len(vectors) == n
+        if ok and len(vectors) == n:
+            out.append(BlockSequence(vectors))
+    return out
+
+
 def doc_bytes(report):
     return json.dumps(report.to_doc(), sort_keys=True, allow_nan=False)
 
@@ -377,6 +459,25 @@ class TestAgainstReplacedBodies:
         assert doc_bytes(stabilized_constant(spec, 1.5, 2, 3, net=net, samples=4)) == doc_bytes(
             oracle_stabilized_constant(spec, 1.5, 2, 3, net=net, samples=4)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.sampled_from(SPACES),
+        n=st.integers(1, 4),
+        lo=st.integers(1, 5),
+        window=st.integers(0, 12),
+        seed=st.sampled_from([0, 1, 7, 42, 2**31 - 1]),
+        samples=st.integers(0, 60),
+    )
+    def test_tuple_pool(self, spec, n, lo, window, seed, samples):
+        hi = lo + window
+        if window + 1 < n:
+            with pytest.raises(ValueError, match="cannot host"):
+                games._tuple_pool(spec, n, lo, hi, seed, samples)
+            return
+        expected = oracle_structured_tuples(spec, n, lo, hi) + oracle_random_tuples(spec, n, lo, hi, seed, samples)
+        pool = games._tuple_pool(spec, n, lo, hi, seed, samples)
+        assert [seq.to_doc() for seq in pool] == [seq.to_doc() for seq in expected]
 
     @pytest.mark.parametrize("window, pick", [(8, 0), (1, 3), (2, 7), (4, -2), (8, 1000)])
     def test_net_player_moves(self, window, pick):

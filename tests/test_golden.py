@@ -16,7 +16,10 @@ class tuple instead of enumerating them.  The norm, game, krivine-p,
 equivalence, spreading, extract, ramsey, hindman and parity/constant
 milliken reports, and the CSV stabilized table, were hashed before every
 command's report configuration was read from its parsed options instead of
-a key list per command.
+a key list per command.  The tight-window stabilized table (its random draws
+leave the window in 31 of 60 tuples) and the arity-3 parity milliken search
+were hashed before coarsening index tuples came from one enumerator and the
+tuple pool from one loop per kind.
 """
 
 import hashlib
@@ -163,6 +166,14 @@ GOLDEN = {
     "milliken-constant": (
         ["milliken", "--coloring", "constant:1", "--P", "singletons:6", "--k", "2", "--L", "3"],
         "defbf558efac99c51cf77a4238ac090817b00d665c73ad3980230f5d349371a8",
+    ),
+    "stabilized-tight-window": (
+        ["stabilized", "--space", '{"kind":"lp","p":2}', "--n", "2", "--schedule", "1", "--window", "5", "--samples", "60"],
+        "5e742875f91a0a6d28593db5d0bb5c322d45ab2f697e9dd50a76495da47d87d9",
+    ),
+    "milliken-first-min-parity-k3": (
+        ["milliken", "--coloring", "first-min-parity", "--P", "singletons:11", "--k", "3", "--L", "5"],
+        "72097c90c55985b02c53352a05f21e501227203adad0718a45911ab28ae1e727",
     ),
     "stabilized-csv": (
         [
