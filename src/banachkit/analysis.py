@@ -662,8 +662,9 @@ def norm_quantization_coloring(
     """Color a blocking by the quantized norm of the NCCB combination.
 
     f(E_1, ..., E_n) = floor( ||sum_i a_i y_{E_i}|| / quantum ) where each
-    y_E is the normalized indicator of E.  Values in [0, n] land in finitely
-    many cells; a monochromatic family has oscillation below ``quantum``.
+    y_E is the normalized indicator of E.  Norms lie in [0, sum_i |a_i|], so
+    they land in finitely many cells; a monochromatic family has oscillation
+    below ``quantum``.  A ground set past a finite space raises here.
 
     Blocks fall into classes: a class is one distinct list of coordinates
     ``spec.coordinates(y_E)``, and in Lp, C0 and LpSum many blocks share one
@@ -686,6 +687,11 @@ def norm_quantization_coloring(
     """
     _check_quantum(quantum)
     coeffs = tuple(float(c) for c in coeffs)
+    cells = sum(map(abs, coeffs)) / quantum
+    if not cells < math.inf:
+        raise ValueError(f"quantum {quantum!r} and coefficients {list(coeffs)} give no finite count of colors")
+    # the largest odd and even indices reach furthest, in an Interleave too
+    spec.coordinates(SparseVector.indicator(range(max(1, ground - 1), ground + 1)))
     class_of: dict = cache if cache is not None else {}
     class_coords, class_ids = class_of.setdefault(None, ([], {}))
     colors: dict[tuple[int, ...], int] = {}
@@ -721,7 +727,7 @@ def norm_quantization_coloring(
 
     return Coloring(
         kind="blocking",
-        colors=int(math.ceil(len(coeffs) / quantum)) + 2,
+        colors=math.ceil(cells) + 2,
         ground=ground,
         fn=fn,
         arity=len(coeffs),

@@ -231,8 +231,10 @@ class Coloring:
     """Total coloring of finite sets or of length-k blockings in {1..M}.
 
     ``kind`` is ``"set"`` (domain: nonempty subsets, or k-subsets for the
-    Ramsey search) or ``"blocking"`` (domain: length-``arity`` blockings).
-    ``fn`` must be deterministic and total on the relevant domain.  Each
+    Ramsey search) or ``"blocking"`` (domain: length-``arity`` blockings),
+    in {1..ground}.  ``fn`` must be deterministic and total on the domain,
+    with values in ``range(colors)``: a coloring that cannot be refuses to
+    be built (only a table coloring raises on a missing entry).  Each
     search queries it in a fixed order, which the differential tests pin, so a
     coloring built lazily as it is queried still gives reproducible results.
     A blocking coloring may carry ``classes``: the Milliken-Taylor search then
@@ -592,25 +594,18 @@ def _class_step(
 
 
 def _coarsening_colors(coloring: Coloring, P: Blocking, k: int) -> set[int]:
-    """The colors of the length-k coarsenings of P.
+    """The colors of the length-k coarsenings of P, for a coloring with ``classes``.
 
-    With ``classes``, P's blocks walk through ``_class_step`` and each
-    distinct class tuple is colored once.  The walk classes sets in another
-    order than the enumeration, so on an error (a set the coloring cannot
-    class) it gives way to the enumeration, which fails as it always has.
+    P must lie in the ground set; its blocks walk through ``_class_step``
+    and each distinct class tuple is colored once.
     """
-    classes = coloring.classes
-    if classes is not None:
-        try:
-            states: dict = {(): ()}
-            keys: set[tuple[int, ...]] = set()
-            for room, block in zip(range(len(P) - 1, -1, -1), P):
-                states, finals = _class_step(classes, k, states, block.elements, room)
-                keys |= finals
-            return {classes.color(key) for key in keys}
-        except ValueError:
-            pass
-    return {coloring.of_blocking(F) for F in coarsenings(P, k)}
+    _check_ground(coloring, P)
+    states: dict = {(): ()}
+    keys: set[tuple[int, ...]] = set()
+    for room, block in zip(range(len(P) - 1, -1, -1), P):
+        states, finals = _class_step(coloring.classes, k, states, block.elements, room)
+        keys |= finals
+    return {coloring.classes.color(key) for key in keys}
 
 
 def _check_arity(coloring: Coloring, k: int) -> None:
@@ -619,6 +614,11 @@ def _check_arity(coloring: Coloring, k: int) -> None:
             f"coloring {coloring.name!r} has arity {coloring.arity}, "
             f"but the search colors length-{k} blockings"
         )
+
+
+def _check_ground(coloring: Coloring, P: Blocking) -> None:
+    if len(P) and P[-1].max() > coloring.ground:
+        raise ValueError(f"P reaches index {P[-1].max()}, past the ground set {{1..{coloring.ground}}}")
 
 
 def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> SearchCertificate:
@@ -632,41 +632,32 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
     coloring is a pure function; it queries unions in lexicographic order of
     their index sets, where the Hindman search goes in creation order.
 
-    A coloring with ``classes`` is colored once per distinct class tuple of
-    the new coarsenings, found by ``_class_step`` from the states of the
-    path above.  The node outcome does not depend on query order: at depth k
-    the one coarsening sets the color, deeper every color must equal it.
-    So the certificate is the one the enumeration gives.
+    P must lie in the coloring's ground set.  A coloring with ``classes`` is
+    colored once per distinct class tuple of the new coarsenings, found by
+    ``_class_step`` from the states of the path above.  The node outcome
+    does not depend on query order: at depth k the one coarsening sets the
+    color, deeper every color must equal it.  So the certificate is the one
+    the enumeration gives.
     """
     if coloring.kind != "blocking":
         raise ValueError("milliken_taylor_search needs a blocking coloring")
     if L < k or k < 1:
         raise ValueError(f"need 1 <= k <= L, got k={k}, L={L}")
     _check_arity(coloring, k)
+    _check_ground(coloring, P)
     n = len(P)
     unions = _Unions(P)
     classes = coloring.classes
     # class-tuple states after each block of the current path
-    path: list[dict] | None = [{(): ()}] if classes is not None else None
+    path = [{(): ()}]
 
     def colors(chosen: tuple[tuple[int, ...], ...]) -> Iterator[int]:
-        nonlocal path
-        if path is not None:
+        if classes is not None:
             del path[len(chosen) :]
-            try:
-                block = unions[chosen[-1]].elements
-                states, finals = _class_step(classes, k, path[-1], block, L - len(chosen))
-                found = {classes.color(key) for key in finals}
-            except ValueError:
-                # The states class sets in another order than the
-                # enumeration, and some it may never color on this path, so
-                # an error here need not be the enumeration's: enumerate from
-                # this node on, which fails exactly where it always has.
-                path = None
-            else:
-                path.append(states)
-                yield from found
-                return
+            states, finals = _class_step(classes, k, path[-1], unions[chosen[-1]].elements, L - len(chosen))
+            path.append(states)
+            yield from {classes.color(key) for key in finals}
+            return
         if len(chosen) < k:
             return
         for meta in _arity_tuples(len(chosen), k):

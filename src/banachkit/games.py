@@ -163,18 +163,25 @@ def vector_net(net: ScalarNet | None = None, window: int = 8, pick: int = 0) -> 
 def strategy_from_name(text: str, role: str) -> Strategy:
     """Resolve ``name`` or ``name:param`` into a registered strategy."""
     name, _, param = text.partition(":")
+
+    def integer(raw: str) -> int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"{role} strategy {text!r}: parameter {raw!r} is not an integer") from None
+
     if role == "subspace-player":
         if name == "constant":
-            return subspace_constant(int(param or 1))
+            return subspace_constant(integer(param or "1"))
         if name == "tail":
-            return subspace_tail(int(param or 1))
+            return subspace_tail(integer(param or "1"))
     else:
         if name == "unit":
             return vector_unit()
         if name == "nccb":
-            return vector_nccb(int(param or 2))
+            return vector_nccb(integer(param or "2"))
         if name == "net":
-            parts = [int(x) for x in param.split(":") if x] if param else []
+            parts = [integer(x) for x in param.split(":") if x] if param else []
             window = parts[0] if parts else 8
             pick = parts[1] if len(parts) > 1 else 0
             return vector_net(window=window, pick=pick)

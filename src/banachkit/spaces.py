@@ -291,6 +291,8 @@ class LpSum(_Space):
             raise InvalidSpecError(f"outer exponent p={p} must lie in (1, inf)")
         ps = tuple(float(q) for q in self.ps)
         ns = tuple(int(n) for n in self.ns)
+        if ns != tuple(self.ns):
+            raise InvalidSpecError(f"segment dimensions must be integers, got {list(self.ns)}")
         if len(ps) != len(ns) or not ps:
             raise InvalidSpecError("ps and ns must be nonempty lists of equal length")
         if any(q < 1.0 or q > p for q in ps):
@@ -610,6 +612,8 @@ def space_from_doc(doc: dict) -> SpaceSpec:
             )
     except KeyError as exc:
         raise InvalidSpecError(f"{kind} space document has no {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise InvalidSpecError(f"{kind} space document has a field of the wrong type: {exc}") from exc
     if kind == "james":
         return James()
     raise InvalidSpecError(f"unknown space kind {kind!r}")

@@ -43,6 +43,7 @@ from banachkit.combinatorics import (
     FiniteSet,
     _coarsening_colors,
     coarsenings,
+    constant_coloring,
     milliken_taylor_search,
 )
 from banachkit.spaces import (
@@ -778,14 +779,16 @@ class TestColoringClassMemo:
 
     def test_zero_coefficient_blocks_are_never_normalized(self):
         spec = LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5))
-        near, far = FiniteSet([2]), FiniteSet([spec.total_dim + 1])
+        near, far = FiniteSet([2]), FiniteSet([spec.total_dim])
         cache = {}
-        coloring = norm_quantization_coloring(spec, (1.0, 0.0), 0.05, 20, cache=cache)
-        # the second block lies past the space, so measuring it would raise
+        coloring = norm_quantization_coloring(spec, (1.0, 0.0), 0.05, spec.total_dim, cache=cache)
+        # the cache records every block the coloring measures
         assert coloring.of_blocking([FiniteSet([1]), far]) == coloring.of_blocking([FiniteSet([1]), near])
         assert far.elements not in cache and near.elements not in cache
-        with pytest.raises(InvalidVectorError):
-            norm_quantization_coloring(spec, (1.0, 1.0), 0.05, 20, cache=cache).of_blocking([FiniteSet([1]), far])
+        norm_quantization_coloring(spec, (1.0, 1.0), 0.05, spec.total_dim, cache=cache).of_blocking(
+            [FiniteSet([1]), far]
+        )
+        assert far.elements in cache
 
     def test_example_space_runs_the_kernel_once_per_class_tuple(self, monkeypatch):
         spec = make_example_space(2.0, 3, [1.0, 1.5, 1.8])
@@ -844,7 +847,8 @@ class TestColoringClassMemo:
     def test_class_sharing(self, spec, shared, apart):
         # the blocks in ``shared`` have one class; every block in ``apart`` has its own
         cache = {}
-        coloring = norm_quantization_coloring(spec, (1.0,), 0.05, 100, cache=cache)
+        ground = max(elements[-1] for elements in shared + apart)  # inside each space
+        coloring = norm_quantization_coloring(spec, (1.0,), 0.05, ground, cache=cache)
         for elements in shared + apart:
             coloring.of_blocking([FiniteSet(elements)])
         assert len({cache[elements] for elements in shared}) == len(shared[:1])
@@ -974,55 +978,94 @@ class TestClassTupleWalk:
             lambda: oracle_verify_stabilization(spec, result, net)
         )
 
-    @pytest.mark.parametrize(
-        "coeffs", [(1.0, 0.0), (0.0, 1.0), (-0.0, 0.5), (1.0, 0.0, -0.5), (0.0, 1.0, 0.5), (0.5, -1.0, -0.0)]
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=walk_cases(),
+        coeffs=st.lists(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=3, max_size=3),
     )
-    @settings(max_examples=40, deadline=None)
-    @given(case=walk_cases())
-    def test_short_lp_sum_fails_as_the_enumeration_does(self, coeffs, case):
-        # a zero coefficient first or last: its blocks are never classed
-        P, _, L, _, quantum = case
-        k = len(coeffs)
-        if len(P) < k:
-            return
-        L = max(L, k)
+    def test_colors_lie_in_the_declared_range(self, name, case, coeffs):
+        P, k, _, _, quantum = case
+        coloring = norm_quantization_coloring(CLASS_SPACES[name], coeffs[:k], quantum, 10)
+        assert {coloring.of_blocking(F) for F in coarsenings(P, k)} <= set(range(coloring.colors))
 
-        def fresh():
-            return norm_quantization_coloring(SHORT_LP_SUM, coeffs, quantum, 10)
 
-        searched = outcome(lambda: milliken_taylor_search(fresh(), P, k, L))
-        assert searched == outcome(lambda: milliken_taylor_search(enumerating(fresh()), P, k, L))
-        oracle = fresh()
-        assert outcome(lambda: _coarsening_colors(fresh(), P, k)) == outcome(
-            lambda: {oracle.of_blocking(F) for F in coarsenings(P, k)}
-        )
+# ---------------------------------------------------------------------------
+# Total colorings: a norm-quantization coloring refuses a ground set past a
+# finite space when it is built, and the search and verify refuse a P past
+# the coloring's ground set.
+# ---------------------------------------------------------------------------
 
-    # The walk classes sets in another order than the enumeration, and the
-    # search's walk classes some the enumeration never colors on its path;
-    # in these cases the walk alone would fail where, or as, it does not.
+# the largest ground set each space takes: SHORT_LP_SUM has 8 coordinates
+GROUND_LIMITS = {
+    "lp_sum": (SHORT_LP_SUM, 8),
+    "interleave-short-a": (Interleave(SHORT_LP_SUM, Lp(2.0), "max"), 16),  # odd index 17 is a's 9th
+    "interleave-short-b": (Interleave(Lp(2.0), SHORT_LP_SUM, "sum"), 17),  # even index 18 is b's 9th
+}
+
+
+class TestTotalColorings:
+    @pytest.mark.parametrize("name", sorted(GROUND_LIMITS))
+    def test_a_ground_set_past_a_finite_space_is_refused_when_built(self, name):
+        spec, limit = GROUND_LIMITS[name]
+        coloring = norm_quantization_coloring(spec, (1.0, 0.0), 0.1, limit)
+        assert coloring.ground == limit
+        with pytest.raises(InvalidVectorError, match="index 9 outside the declared segments"):
+            norm_quantization_coloring(spec, (1.0, 0.0), 0.1, limit + 1)
+
+    @pytest.mark.parametrize("name", sorted(GROUND_LIMITS))
+    def test_the_probe_refuses_exactly_what_the_whole_ground_set_would(self, name):
+        spec, _ = GROUND_LIMITS[name]
+        for ground in range(1, 41):
+            whole = outcome(lambda: spec.coordinates(SparseVector.indicator(range(1, ground + 1))))
+            built = outcome(lambda: norm_quantization_coloring(spec, (1.0,), 0.1, ground))
+            assert isinstance(whole, str) == isinstance(built, str), ground
+
+    def test_the_probe_does_not_grow_with_the_ground_set(self, monkeypatch):
+        measured = []
+        real = SparseVector.indicator.__func__
+
+        def recorded(cls, indices):
+            vector = real(cls, indices)
+            measured.append(len(vector))
+            return vector
+
+        monkeypatch.setattr(SparseVector, "indicator", classmethod(recorded))
+        norm_quantization_coloring(Lp(2.0), (1.0,), 0.05, 10**8)
+        norm_quantization_coloring(Lp(2.0), (1.0,), 0.05, 1)
+        assert measured == [2, 1]
+
+    @pytest.mark.parametrize("quantum, coeffs", [(1e-320, (1.0, 1.0)), (0.1, (1e308, 1e308)), (0.1, (math.nan,))])
+    def test_an_infinite_count_of_cells_is_refused(self, quantum, coeffs):
+        with pytest.raises(ValueError, match="give no finite count of colors"):
+            norm_quantization_coloring(Lp(2.0), coeffs, quantum, 4)
+
+    def test_the_color_count_bounds_every_norm(self):
+        assert norm_quantization_coloring(Lp(2.0), (10.0, -10.0), 0.1, 4).colors == 202
+        assert norm_quantization_coloring(Lp(2.0), (0.0, 0.25), 0.1, 4).colors == 5
+
     @pytest.mark.parametrize(
-        "coeffs, P, L, quantum, expected",
+        "coloring",
         [
-            ((-0.5, 1.0, 0.0), "1|2|5,7|9,10|11", 5, 0.3, "found=False"),
-            ((0.5, -0.5, 0.0), "1|2|4|5|6|7,8|9|12", 5, 0.3, "witness=Blocking('1|2,4,5|6|7,8|9')"),
-            ((1.0, 0.0, -0.5), "1,2,3|4,5,6,7,8,9,10|11|12", 4, 1.0, "index 11 outside"),
+            norm_quantization_coloring(Lp(2.0), (1.0, 1.0), 0.1, 5),
+            constant_coloring(5, kind="blocking", arity=2),
         ],
+        ids=["norm-quant", "constant"],
     )
-    def test_search_gives_way_to_the_enumeration_on_an_error(self, coeffs, P, L, quantum, expected):
-        P = Blocking.parse(P)
-        coloring = norm_quantization_coloring(SHORT_LP_SUM, coeffs, quantum, 12)
-        oracle = enumerating(norm_quantization_coloring(SHORT_LP_SUM, coeffs, quantum, 12))
-        searched = outcome(lambda: milliken_taylor_search(coloring, P, 3, L))
-        assert searched == outcome(lambda: milliken_taylor_search(oracle, P, 3, L))
-        assert expected in str(searched)
+    def test_the_search_refuses_a_P_past_the_ground_set(self, coloring):
+        with pytest.raises(ValueError, match=r"P reaches index 6, past the ground set \{1\.\.5\}"):
+            milliken_taylor_search(coloring, Blocking.singletons(6), 2, 3)
+        assert milliken_taylor_search(coloring, Blocking.singletons(5), 2, 3).found
 
-    @pytest.mark.parametrize(
-        "coeffs, P", [((1.0, 0.0, 1.0), "5|7,8,10|11|12"), ((1.0, 0.0, -0.5), "1,2,3|4,5,6,7,8,9,10|11|12")]
-    )
-    def test_coarsening_colors_give_way_to_the_enumeration_on_an_error(self, coeffs, P):
-        coloring = norm_quantization_coloring(SHORT_LP_SUM, coeffs, 1.0, 12)
-        with pytest.raises(InvalidVectorError, match="index 11 outside"):
-            _coarsening_colors(coloring, Blocking.parse(P), 3)
+    def test_the_verify_refuses_a_P_past_the_ground_set(self):
+        coloring = norm_quantization_coloring(Lp(2.0), (1.0, 1.0), 0.1, 5)
+        with pytest.raises(ValueError, match="P reaches index 6"):
+            _coarsening_colors(coloring, Blocking.parse("1|2,3|6"), 2)
+        result = StabilizationResult(
+            blocking=Blocking.singletons(6), steps=(), complete=True, epsilon=0.1, quantum=0.1, ground=5
+        )
+        with pytest.raises(ValueError, match="P reaches index 6"):
+            verify_stabilization(Lp(2.0), result, ScalarNet.grid(0.5, 2))
 
 
 # ---------------------------------------------------------------------------

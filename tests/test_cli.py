@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -76,6 +77,26 @@ class TestNormCommand:
     def test_space_without_a_field_names_kind_and_field(self, space, message):
         code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            (
+                '{"kind":"lp_sum","p":2,"ps":3,"ns":[2]}',
+                "lp_sum space document has a field of the wrong type: 'int' object is not iterable",
+            ),
+            ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[2.5]}', "segment dimensions must be integers, got [2.5]"),
+            ('{"kind":"lp","p":[2]}', "lp space document has a field of the wrong type: float() argument"),
+            (
+                '{"kind":"interleave","a":{"kind":"c0"},"b":{"kind":"lp_sum","p":2,"ps":[1],"ns":3}}',
+                "lp_sum space document has a field of the wrong type",
+            ),
+        ],
+    )
+    def test_space_field_of_the_wrong_type_names_kind(self, space, message):
+        code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("entry", ["1:nan", "1:inf", "2:-inf"])
     def test_non_finite_vector_is_usage_error(self, entry):
@@ -153,6 +174,47 @@ class TestSearchCommands:
         assert code == 2
         assert out == ""
         assert "arity" in err
+
+    def test_milliken_past_a_short_lp_sum_is_usage_error(self, monkeypatch):
+        monkeypatch.setattr(cli, "milliken_taylor_search", lambda *args: pytest.fail("searched"))
+        code, out, err = run_cli(
+            "milliken", "--coloring", "norm-quant", "--space", '{"kind":"lp_sum","p":2,"ps":[1],"ns":[3]}',
+            "--coeffs", "1,1", "--quantum", "0.1", "--P", "singletons:6", "--k", "2", "--L", "3",
+        )
+        assert (code, out, err) == (2, "", "config error: index 5 outside the declared segments (1..3)\n")
+
+    def test_milliken_norm_quant_on_a_far_ground_set_is_fast(self):
+        start = time.perf_counter()
+        code, doc = run_json(
+            "milliken", "--coloring", "norm-quant", "--space", LP2,
+            "--coeffs", "1", "--P", "1|100000000", "--k", "1", "--L", "2",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert doc["result"]["witness"] == [[1], [100000000]]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["milliken", "--coeffs", "1,1", "--quantum", "1e-320"],
+                "quantum 1e-320 and coefficients [1.0, 1.0] give no finite count of colors",
+            ),
+            (
+                ["milliken", "--coeffs", "1e308,1e308", "--quantum", "0.1"],
+                "quantum 0.1 and coefficients [1e+308, 1e+308] give no finite count of colors",
+            ),
+            (
+                ["stabilize-nccb", "--M", "5", "--quantum", "1e-320"],
+                "quantum 1e-320 and coefficients [-1.0] give no finite count of colors",
+            ),
+        ],
+    )
+    def test_an_infinite_count_of_colors_is_usage_error(self, argv, message):
+        if argv[0] == "milliken":
+            argv += ["--coloring", "norm-quant", "--P", "singletons:4", "--k", "2", "--L", "3"]
+        code, out, err = run_cli(*argv, "--space", LP2)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
 
     def test_partial_coloring_table_error_is_not_quoted(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -243,14 +305,15 @@ class TestAnalysisCommands:
         assert doc["result"]["verified_monochromatic"] is True
 
     @pytest.mark.parametrize("extra", [[], ["--quantum", "0.3"], ["--max-n", "3", "--quantum", "0.5"]])
-    def test_stabilize_past_a_short_lp_sum_names_the_first_index_outside(self, extra):
+    def test_stabilize_past_a_short_lp_sum_names_the_probed_index(self, extra):
+        # the coloring probes the largest odd and even indices of {1..M} when built
         space = '{"kind":"lp_sum","p":2,"ps":[1,1.5,1.8],"ns":[2,3,4]}'
         code, out, err = run_cli(
             "stabilize-nccb", "--space", space, "--M", "12", "--net-step", "0.5", "--verify", *extra
         )
         assert code == 2
         assert out == ""
-        assert err == "config error: index 10 outside the declared segments (1..9)\n"
+        assert err == "config error: index 11 outside the declared segments (1..9)\n"
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -331,6 +394,22 @@ class TestAnalysisCommands:
             (["krivine-p", "--space", LP2, "--start", "-5"], "--start: must be an integer >= 1"),
             (["game", "--space", LP2, "--subspace", "tail:-3", "--rounds", "3"], "tail lead must be >= 0, got -3"),
             (["game", "--space", LP2, "--subspace", "constant:0"], "constant cutoff m must be >= 1, got 0"),
+            (
+                ["game", "--space", LP2, "--subspace", "constant:x"],
+                "subspace-player strategy 'constant:x': parameter 'x' is not an integer",
+            ),
+            (
+                ["game", "--space", LP2, "--subspace", "tail:1.5"],
+                "subspace-player strategy 'tail:1.5': parameter '1.5' is not an integer",
+            ),
+            (
+                ["game", "--space", LP2, "--vector-player", "net:a"],
+                "vector-player strategy 'net:a': parameter 'a' is not an integer",
+            ),
+            (
+                ["game", "--space", LP2, "--vector-player", "nccb:two"],
+                "vector-player strategy 'nccb:two': parameter 'two' is not an integer",
+            ),
             (["hindman", "--coloring", "constant:-1", "--M", "3", "--L", "2"], "constant color must be >= 0, got -1"),
             (
                 ["equivalence", "--space", LP2, "--blocking", "1|2|3", "--max-n", "2"],

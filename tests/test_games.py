@@ -171,6 +171,20 @@ class TestPlay:
         with pytest.raises(ValueError):
             strategy_from_name("alphabeta", "vector-player")
 
+    @pytest.mark.parametrize(
+        "text, role, bad",
+        [
+            ("constant:x", "subspace-player", "x"),
+            ("tail: ", "subspace-player", " "),
+            ("nccb:2.0", "vector-player", "2.0"),
+            ("net:8:z", "vector-player", "z"),
+        ],
+    )
+    def test_non_integer_parameter_names_role_strategy_and_parameter(self, text, role, bad):
+        with pytest.raises(ValueError) as info:
+            strategy_from_name(text, role)
+        assert str(info.value) == f"{role} strategy {text!r}: parameter {bad!r} is not an integer"
+
 
 class TestStabilizedConstant:
     def test_lp_is_isometric_at_every_cutoff(self):

@@ -144,6 +144,9 @@ class TestLpSum:
             LpSum(p=2.0, ps=(1.0, 2.5), ns=(2, 3))
         with pytest.raises(InvalidSpecError):
             LpSum(p=1.0, ps=(1.0,), ns=(2,))
+        with pytest.raises(InvalidSpecError, match="segment dimensions must be integers"):
+            LpSum(p=2.0, ps=(1.0,), ns=(2.5,))
+        assert LpSum(p=2.0, ps=(1.0,), ns=(2.0,)).ns == (2,)
 
 
 class TestMakeExampleSpace:
@@ -310,6 +313,19 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidSpecError):
             space_from_doc({"kind": "tsirelson"})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "lp", "p": None},
+            {"kind": "lp_sum", "p": 2, "ps": 3, "ns": [2]},
+            {"kind": "lp_sum", "p": 2, "ps": [1], "ns": 2},
+            {"kind": "lp_sum", "p": {}, "ps": [1], "ns": [2]},
+        ],
+    )
+    def test_field_of_the_wrong_type_rejected(self, doc):
+        with pytest.raises(InvalidSpecError, match=f"{doc['kind']} space document has a field of the wrong type"):
+            space_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------
