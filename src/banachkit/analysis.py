@@ -125,6 +125,25 @@ class ScalarNet:
     def lengths(self) -> tuple[int, ...]:
         return tuple(sorted({len(t) for t in self.tuples}))
 
+    def representatives(self, n: int, sign_free: bool) -> tuple[tuple[float, ...], ...]:
+        """The first tuple of each distinct key among the length-n tuples.
+
+        The key is ``|t|`` coordinatewise when ``sign_free`` and ``t`` itself
+        otherwise.  Representatives come in net order: each key's first
+        tuple sits where that tuple sits in ``tuples``.  The result is
+        cached on the instance, outside the fields, so equality, hashing and
+        ``to_doc`` ignore it.
+        """
+        cache = self.__dict__.setdefault("_representatives", {})
+        reps = cache.get((n, sign_free))
+        if reps is None:
+            first: dict[tuple[float, ...], tuple[float, ...]] = {}
+            for t in self.tuples:
+                if len(t) == n:
+                    first.setdefault(_sign_free(t) if sign_free else t, t)
+            reps = cache[n, sign_free] = tuple(first.values())
+        return reps
+
     def to_doc(self) -> dict:
         return {"step": self.step, "max_len": self.max_len, "size": len(self.tuples)}
 
@@ -464,7 +483,8 @@ def equivalence_constant(
 
     Ratios are scale invariant, so the scan runs over raw grid tuples of
     length n; certificates are reported normalized to the reference unit
-    sphere.  Zero tuples never occur (the grid excludes them).
+    sphere.  Tuples of reference norm 0 are skipped (the grid has none); a
+    net with no other tuple of length n raises ``ValueError``.
     """
     n = reference.n
     seq = list(seq)
@@ -473,29 +493,27 @@ def equivalence_constant(
     head = seq[:n]
     if net is None:
         net = ScalarNet.grid(step=net_step, max_len=n)
-    tuples = [t for t in net.tuples if len(t) == n]
-    if not tuples:
-        raise ValueError(f"net contains no tuples of length {n}")
     positions = tuple(range(1, n + 1))
     norm_of = CombinationNorm(spec, head)
     # Both norms ignore coefficient signs when the sequence side is
-    # unconditional and the reference is l_p, so a ratio is shared by all
-    # sign patterns of a tuple; the scan still visits every tuple in order.
+    # unconditional and the reference is l_p, so a ratio is a function of
+    # the tuple's sign-free key.  Each key is scanned once, through its
+    # first tuple in net order: the updates below take a strictly larger
+    # ratio, so a later tuple of a key already seen never moves a bound,
+    # and each bound's tuple is the first in net order to reach it.
     sign_free = norm_of.unconditional and isinstance(reference, LpReference)
-    ratios: dict[tuple[float, ...], float | None] = {}
+    reps = net.representatives(n, sign_free)
+    if not reps:
+        raise ValueError(f"net contains no tuples of length {n}")
 
     best_upper = -math.inf
     best_lower = -math.inf
-    arg_upper: tuple[float, ...] = tuples[0]
-    arg_lower: tuple[float, ...] = tuples[0]
-    for t in tuples:
-        key = _sign_free(t) if sign_free else t
-        if key not in ratios:
-            r_norm = reference.coeff_norm(t)
-            ratios[key] = norm_of(t, positions) / r_norm if r_norm > 0.0 else None
-        ratio = ratios[key]
-        if ratio is None:
+    arg_upper = arg_lower = reps[0]
+    for t in reps:
+        r_norm = reference.coeff_norm(t)
+        if not r_norm > 0.0:
             continue
+        ratio = norm_of(t, positions) / r_norm
         if ratio > best_upper:
             best_upper = ratio
             arg_upper = t
@@ -521,6 +539,11 @@ def equivalence_constant(
 
 def _on_reference_sphere(coeffs: tuple[float, ...], reference: Reference) -> tuple[float, ...]:
     r = reference.coeff_norm(coeffs)
+    if r == 0.0:
+        # a certificate keeps the net's first tuple only when no ratio moved it
+        raise ValueError(
+            f"net contains no tuple of length {len(coeffs)} with a positive reference norm"
+        )
     return tuple(c / r for c in coeffs)
 
 
@@ -596,6 +619,13 @@ def brunel_sucheston_extract(
         found = False
         if len(current) >= L:
             ground = current
+            # norms of normalized blocks lie in [0, sum_i |a_i|]
+            cells = sum(map(abs, coeffs)) / eps if eps > 0.0 else math.inf
+            if not cells < math.inf:
+                raise ValueError(
+                    f"extraction step m={m} with eps={eps!r} and coefficients "
+                    f"{list(coeffs)} gives no finite count of colors"
+                )
 
             def quantized(subset: FiniteSet) -> int:
                 value = norm_of(coeffs, [ground[pos - 1] for pos in subset.elements])
@@ -603,7 +633,7 @@ def brunel_sucheston_extract(
 
             coloring = Coloring(
                 kind="set",
-                colors=int(math.ceil(n / eps)) + 2,
+                colors=math.ceil(cells) + 2,
                 ground=len(ground),
                 fn=quantized,
                 name="norm-quantization",
@@ -831,22 +861,19 @@ def verify_stabilization(
     coarsening once (``_coarsening_colors``), without listing them.  In an
     unconditional space the tuples t, -t and |t| color every blocking alike
     (their combination norms are the same float operations up to sign), so
-    each such sign family is recolored once.
+    only each sign family's first tuple is colored.
     """
     P = result.blocking
-    checked: set[tuple[float, ...]] = set()
     cache: dict = {}
-    for coeffs in net.tuples:
-        n = len(coeffs)
-        family = _sign_free(coeffs) if spec.unconditional else tuple(coeffs)
-        if len(P) < n or family in checked:
-            continue
-        checked.add(family)
-        coloring = norm_quantization_coloring(
-            spec, coeffs, result.quantum, result.ground, cache=cache
-        )
-        if len(_coarsening_colors(coloring, P, n)) > 1:
-            return False
+    for n in net.lengths():
+        if len(P) < n:
+            break
+        for coeffs in net.representatives(n, spec.unconditional):
+            coloring = norm_quantization_coloring(
+                spec, coeffs, result.quantum, result.ground, cache=cache
+            )
+            if len(_coarsening_colors(coloring, P, n)) > 1:
+                return False
     return True
 
 

@@ -2,8 +2,10 @@
 extraction, stabilization, and the Krivine slope estimator."""
 
 import dataclasses
+import itertools
 import json
 import math
+import re
 import statistics
 from random import Random
 
@@ -302,6 +304,32 @@ class TestExtraction:
     def test_target_len_below_one_rejected(self, target_len):
         with pytest.raises(ValueError, match="target_len must be >= 1"):
             brunel_sucheston_extract(Lp(2.0), lp_units(4), ScalarNet.grid(0.5, 2), target_len=target_len)
+
+    def test_colors_stay_in_range_for_coefficients_past_one(self, monkeypatch):
+        # ||3 y_i + 3 y_j|| = 3 sqrt 2 lands in cell 8 at eps 1/2: the color
+        # count must follow sum |a_i|, not the tuple length
+        declared = []
+        real = analysis.ramsey_search
+
+        def checked(coloring, k, L):
+            declared.append(coloring.colors)
+            for subset in itertools.combinations(range(1, coloring.ground + 1), k):
+                assert coloring.fn(FiniteSet(subset)) in range(coloring.colors)
+            return real(coloring, k, L)
+
+        monkeypatch.setattr(analysis, "ramsey_search", checked)
+        brunel_sucheston_extract(Lp(2.0), lp_units(6), ScalarNet.of([(3.0, -3.0), (2.5,)]), target_len=4)
+        assert declared == [14, 12]
+
+    @pytest.mark.parametrize("schedule, message", [
+        (None, "extraction step m=1023 with eps=1.1125369292536007e-308 and coefficients [1.0, 1.0]"),
+        ([0.5, 0.0], "extraction step m=2 with eps=0.0 and coefficients [1.0, 1.0]"),
+        ([0.5, math.nan], "extraction step m=2 with eps=nan and coefficients [1.0, 1.0]"),
+    ])
+    def test_an_infinite_count_of_colors_is_refused(self, schedule, message):
+        net = ScalarNet.of([(1.0, 1.0)] * 1100)
+        with pytest.raises(ValueError, match=re.escape(message) + " gives no finite count of colors"):
+            brunel_sucheston_extract(Lp(2.0), lp_units(4), net, eps_schedule=schedule, target_len=2)
 
     def test_failure_is_flagged_not_silent(self):
         # window too tight to certify: target longer than the ground set

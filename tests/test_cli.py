@@ -216,6 +216,18 @@ class TestSearchCommands:
         code, out, err = run_cli(*argv, "--space", LP2)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    def test_extract_past_the_float_range_of_its_tolerances_is_usage_error(self):
+        # eps_m = 2^-m: at m = 1023 the cell count sum |a_i| / eps_m overflows
+        code, out, err = run_cli(
+            "extract", "--space", LP2, "--blocking", "1|2|3|4|5|6",
+            "--target-len", "4", "--max-n", "4", "--net-step", "0.25",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "config error: extraction step m=1023 with eps=1.1125369292536007e-308 and "
+            "coefficients [-1.0, -0.5, 0.0, 1.0] gives no finite count of colors\n"
+        )
+
     def test_partial_coloring_table_error_is_not_quoted(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text("1|2 0\n1|3 0\n", encoding="utf-8")
