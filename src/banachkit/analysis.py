@@ -484,7 +484,8 @@ def equivalence_constant(
     Ratios are scale invariant, so the scan runs over raw grid tuples of
     length n; certificates are reported normalized to the reference unit
     sphere.  Tuples of reference norm 0 are skipped (the grid has none); a
-    net with no other tuple of length n raises ``ValueError``.
+    net with no other tuple of length n raises ``ValueError``, and so does a
+    tuple whose combination of the sequence has norm 0.
     """
     n = reference.n
     seq = list(seq)
@@ -513,7 +514,12 @@ def equivalence_constant(
         r_norm = reference.coeff_norm(t)
         if not r_norm > 0.0:
             continue
-        ratio = norm_of(t, positions) / r_norm
+        s_norm = norm_of(t, positions)
+        if s_norm == 0.0:
+            raise ValueError(
+                f"the combination with coefficients {t} has norm 0: no lower bound exists"
+            )
+        ratio = s_norm / r_norm
         if ratio > best_upper:
             best_upper = ratio
             arg_upper = t

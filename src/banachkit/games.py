@@ -302,19 +302,35 @@ class AsymptoticReport(_Report):
     net: ScalarNet
 
 
+# each block's ``spec.coordinates``, in tuple order
+_CoordinateClass = tuple[tuple[tuple[object, float], ...], ...]
+
+
 def _max_constant(
     spec: SpaceSpec,
     reference: LpReference,
     pool: Sequence[BlockSequence],
     net: ScalarNet,
-    scans: dict[BlockSequence, EquivalenceReport],
+    scans: dict[_CoordinateClass, EquivalenceReport],
 ) -> tuple[float, BlockSequence, EquivalenceReport]:
-    """Worst tuple of ``pool``; ``scans`` keeps each tuple's scan for reuse."""
+    """Worst tuple of ``pool``, the first in pool order to reach the maximum.
+
+    ``scans`` keeps one scan per coordinate class for reuse: pool tuples
+    whose blocks have the same ``spec.coordinates`` share one report.
+    """
     best = None
     for seq in pool:
-        if seq not in scans:
-            scans[seq] = equivalence_constant(spec, seq, reference, net=net)
-        report = scans[seq]
+        # The scan reads ``seq`` only through ``CombinationNorm(spec, seq).parts``
+        # (``unconditional`` is derived from it) and ``spec.norm(v)``, which is
+        # ``coordinate_norm(coordinates(v))``.  A BlockSequence has successive
+        # supports, so both are functions of this key and a class's tuples
+        # get equal reports.  Every pool vector was normed when the pool was
+        # built, so the key cannot raise.  The strict ``>`` below keeps the
+        # certificate the first tuple in pool order to reach the maximum.
+        key = tuple(tuple(spec.coordinates(v)) for v in seq)
+        if key not in scans:
+            scans[key] = equivalence_constant(spec, seq, reference, net=net)
+        report = scans[key]
         if best is None or report.constant > best[0]:
             best = (report.constant, seq, report)
     return best
@@ -402,7 +418,7 @@ def asymptotic_lp_verdict(
         net = ScalarNet.grid(step=0.25, max_len=n)
     lo, hi = schedule[0], schedule[-1] + window
     pool = _tuple_pool(spec, n, lo, hi, seed, samples)
-    scans: dict[BlockSequence, EquivalenceReport] = {}  # shared by all cutoffs
+    scans: dict[_CoordinateClass, EquivalenceReport] = {}  # shared by all cutoffs
     rows = []
     for N in schedule:
         eligible = [seq for seq in pool if seq[0].min_index() >= N]

@@ -292,6 +292,20 @@ class TestAnalysisCommands:
         assert code == 0
         assert doc["result"]["constant"] == pytest.approx(math.sqrt(2), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "vectors, coeffs",
+        [
+            ([[[1, 1]], [[1, 1]]], "(-1.0, 1.0)"),  # two equal vectors cancel
+            ([[[1, 1]], []], "(0.0, -1.0)"),  # a zero vector
+        ],
+    )
+    def test_equivalence_refuses_a_combination_of_norm_zero(self, tmp_path, vectors, coeffs):
+        path = tmp_path / "vectors.json"
+        path.write_text(json.dumps(vectors))
+        code, out, err = run_cli("equivalence", "--space", LP2, "--vectors", str(path))
+        assert code == 2 and out == ""
+        assert err == f"config error: the combination with coefficients {coeffs} has norm 0: no lower bound exists\n"
+
     def test_game(self):
         code, doc = run_json(
             "game", "--space", LP2, "--subspace", "tail:1", "--vector-player", "unit", "--rounds", "3",

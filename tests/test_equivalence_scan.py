@@ -249,15 +249,43 @@ class TestEquivalenceScanAgainstTheOldScan:
     @settings(max_examples=300, deadline=None)
     @given(case=scan_cases())
     def test_reports_are_equal(self, case):
-        spec, seq, reference, net = case
+        self.assert_reports_are_equal(*case)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            [SparseVector({1: 1.0}), SparseVector({1: 1.0})],  # equal vectors cancel
+            [SparseVector({1: 1.0}), SparseVector({})],  # a zero vector, successive supports
+            [SparseVector({2: 0.5}), SparseVector({1: 1.0, 2: -1.0}), SparseVector({1: -2.0, 2: 2.0})],
+        ],
+    )
+    @pytest.mark.parametrize("name", ["lp2", "c0", "james", "interleave-lp-james"])
+    def test_a_combination_of_norm_zero_is_refused(self, name, seq):
+        n = len(seq)
+        new = outcome(lambda: equivalence_constant(SPACES[name], seq, LpReference(2.0, n)))
+        assert new[0] is ValueError and new[1].endswith("has norm 0: no lower bound exists")
+        self.assert_reports_are_equal(SPACES[name], seq, LpReference(2.0, n), ScalarNet.grid(0.25, n))
+
+    @staticmethod
+    def assert_reports_are_equal(spec, seq, reference, net):
         new = outcome(lambda: equivalence_constant(spec, seq, reference, net=net))
         old = outcome(lambda: old_equivalence_constant(spec, seq, reference, net=net))
         if new != old:
-            # the one intended change: a net without a positive reference norm
+            # two intended changes, both where the old scan divided by zero
             n = reference.n
             assert old == (ZeroDivisionError, "float division by zero")
-            assert all(not reference.coeff_norm(t) > 0.0 for t in net.tuples if len(t) == n)
-            assert new == (ValueError, f"net contains no tuple of length {n} with a positive reference norm")
+            norm_of = CombinationNorm(spec, seq[:n])
+            positive = [t for t in net.tuples if len(t) == n and reference.coeff_norm(t) > 0.0]
+            zero = next((t for t in positive if norm_of(t, range(1, n + 1)) == 0.0), None)
+            if zero is None:
+                # a net without a positive reference norm
+                assert not positive
+                assert new == (ValueError, f"net contains no tuple of length {n} with a positive reference norm")
+            else:
+                # a combination of norm 0, named by its first tuple in net order
+                assert new == (
+                    ValueError, f"the combination with coefficients {zero} has norm 0: no lower bound exists"
+                )
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
@@ -394,4 +422,5 @@ class TestWorkCounts:
         with redirect_stdout(io.StringIO()):
             code = main(["stabilized", "--space", '{"kind":"lp","p":2}', "--n", "3", "--schedule", "1,10,100"])
         assert code == 0
-        assert len(kernel_calls) == 34_596
+        # 40 coordinate classes among the 279 pool tuples, 124 sign-free keys each
+        assert len(kernel_calls) == 4_960

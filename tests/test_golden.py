@@ -19,7 +19,9 @@ command's report configuration was read from its parsed options instead of
 a key list per command.  The tight-window stabilized table (its random draws
 leave the window in 31 of 60 tuples) and the arity-3 parity milliken search
 were hashed before coarsening index tuples came from one enumerator and the
-tuple pool from one loop per kind.
+tuple pool from one loop per kind.  The lp_sum, interleave(l_1, c_0) and
+James stabilized reports were hashed before the asymptotic verdict scanned
+each block-coordinate class once instead of each pool tuple.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ EXAMPLE_SPACE = json.dumps(
     separators=(",", ":"),
 )
 INTERLEAVE = '{"kind":"interleave","a":{"kind":"lp","p":1},"b":{"kind":"lp","p":2}}'
+INTERLEAVE_C0 = '{"kind":"interleave","a":{"kind":"lp","p":1},"b":{"kind":"c0"}}'
 
 GOLDEN = {
     "goodness": (
@@ -181,6 +184,21 @@ GOLDEN = {
             "--window", "8", "--samples", "12", "--seed", "9", "--format", "csv",
         ],
         "cb9957b7db91f6705ef44ca81bd64b861019ac93a1aa3864a5af075979b5609c",
+    ),
+    "stabilized-lp-sum": (
+        ["stabilized", "--space", EXAMPLE_SPACE, "--n", "2", "--schedule", "1,10,40", "--seed", "3"],
+        "daf6d8bf7be56b5068d575551c74bd0eacb8575c88371b3f8fb2585f732085fa",
+    ),
+    "stabilized-interleave-c0-csv": (
+        [
+            "stabilized", "--space", INTERLEAVE_C0, "--n", "3", "--schedule", "1,10",
+            "--seed", "1", "--format", "csv",
+        ],
+        "e8d4cffe820e176a4b024d3d79bd12d6d192fd5e6a1404b5b7470b4c813b52a1",
+    ),
+    "stabilized-james": (
+        ["stabilized", "--space", '{"kind":"james"}', "--n", "2", "--schedule", "1,10,30", "--seed", "0"],
+        "42d316a29d85c330800c185718626837d6f1fc612657b66cd1e3c517160cac3b",
     ),
 }
 

@@ -8,6 +8,7 @@ that plain style and share no code with the kernel.
 """
 
 import itertools
+import json
 import math
 
 import pytest
@@ -317,19 +318,47 @@ class TestEquivalenceMemo:
         assert report == equivalence_oracle(spec, OVERLAPPING, reference, net)
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The sequences ``games`` hands to the equivalence scan, in call order."""
+    calls = []
+    real = games.equivalence_constant
+
+    def counted(spec, seq, *args, **kwargs):
+        calls.append(seq)
+        return real(spec, seq, *args, **kwargs)
+
+    monkeypatch.setattr(games, "equivalence_constant", counted)
+    return calls
+
+
+def lp_class(seq):
+    """In l_p a block's coordinate class is its coefficient list."""
+    return tuple(tuple(c for _, c in v.to_pairs()) for v in seq)
+
+
+ASYMPTOTIC_SPECS = {
+    "lp1": Lp(1.0),
+    "lp1.5": Lp(1.5),
+    "lp2": Lp(2.0),
+    "lpinf": Lp(math.inf),
+    "c0": C0(),
+    "james": James(),
+    "lp_sum": LpSum(2.0, (1.0, 1.5, 1.8), (2, 65, 400)),
+    "interleave-lp-c0": Interleave(Lp(1.0), C0(), "sum"),
+    "interleave-lp-james": Interleave(Lp(1.0), James(), "max"),
+}
+
+
+ORACLE_CASES = [(name, 2, (1, 4, 9), seed) for name in sorted(ASYMPTOTIC_SPECS) for seed in (0, 1, 2, 7)]
+ORACLE_CASES += [("lp2", 3, (1, 10, 30), 0), ("lp_sum", 2, (1, 3, 68), 1)]
+
+
 class TestAsymptoticMemo:
-    @pytest.mark.parametrize(
-        "spec, p, n, schedule, seed",
-        [
-            (Lp(2.0), 2.0, 3, [1, 10, 30], 0),
-            (LpSum(2.0, (1.0, 1.5, 1.8), (2, 65, 400)), 2.0, 2, [1, 3, 68], 1),
-            (Interleave(Lp(1.0), James(), "max"), 1.0, 2, [1, 4, 9], 2),
-        ],
-    )
-    def test_verdict_matches_the_oracle(self, spec, p, n, schedule, seed):
-        net = ScalarNet.grid(step=0.25, max_len=n)
-        verdict = asymptotic_lp_verdict(spec, p, n, schedule, epsilon=0.05, net=net, seed=seed, samples=12)
-        pool = _tuple_pool(spec, n, schedule[0], schedule[-1] + 24, seed, 12)
+    @staticmethod
+    def oracle_verdict(spec, p, n, schedule, seed, samples, net):
+        """The verdict from one plain scan per pool tuple, with no memo."""
+        pool = _tuple_pool(spec, n, schedule[0], schedule[-1] + 24, seed, samples)
         rows = []
         for N in schedule:
             eligible = [seq for seq in pool if seq[0].min_index() >= N]
@@ -341,7 +370,7 @@ class TestAsymptoticMemo:
             rows.append(
                 AsymptoticReport(
                     n=n, N=N, constant=best[0], certificate=best[1], certificate_report=best[2],
-                    window=24, seed=seed, samples=12, pool_size=len(eligible), net=net,
+                    window=24, seed=seed, samples=samples, pool_size=len(eligible), net=net,
                 )
             )
         label = (
@@ -349,20 +378,51 @@ class TestAsymptoticMemo:
             if rows[-1].constant <= 1.05
             else "not-consistent"
         )
-        expected = AsymptoticVerdict(p=p, n=n, epsilon=0.05, rows=tuple(rows), verdict=label)
-        assert verdict.to_doc() == expected.to_doc()
+        return AsymptoticVerdict(p=p, n=n, epsilon=0.05, rows=tuple(rows), verdict=label)
 
-    def test_each_pool_tuple_is_scanned_once(self, monkeypatch):
-        scanned = []
-        real = games.equivalence_constant
+    @pytest.mark.parametrize(
+        "name, n, schedule, seed",
+        ORACLE_CASES,
+        ids=[f"{name}-n{n}-N{schedule[-1]}-seed{seed}" for name, n, schedule, seed in ORACLE_CASES],
+    )
+    def test_verdict_matches_the_oracle(self, name, n, schedule, seed):
+        spec = ASYMPTOTIC_SPECS[name]
+        p = 1.0 if isinstance(spec, Interleave) else 2.0
+        net = ScalarNet.grid(step=0.25, max_len=n)
+        verdict = asymptotic_lp_verdict(spec, p, n, schedule, epsilon=0.05, net=net, seed=seed, samples=12)
+        expected = self.oracle_verdict(spec, p, n, schedule, seed, 12, net)
+        assert json.dumps(verdict.to_doc()).encode() == json.dumps(expected.to_doc()).encode()
 
-        def counted(spec, seq, *args, **kwargs):
-            scanned.append(seq)
-            return real(spec, seq, *args, **kwargs)
-
-        monkeypatch.setattr(games, "equivalence_constant", counted)
+    def test_each_coordinate_class_is_scanned_once(self, scanned):
         verdict = asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [1, 5, 20], epsilon=0.05, samples=10)
-        assert len(scanned) == len(set(scanned)) == verdict.rows[0].pool_size
+        pool = _tuple_pool(Lp(2.0), 2, 1, 44, 0, 10)
+        classes = [lp_class(seq) for seq in scanned]
+        assert set(classes) == {lp_class(seq) for seq in pool}
+        # the units and the pairs are one class each, the random tuples one each
+        assert len(scanned) == len(set(classes)) == 12 < verdict.rows[0].pool_size == len(pool) == 94
+
+    def test_readme_stabilized_scans_each_distinct_class(self, scanned):
+        verdict = asymptotic_lp_verdict(Lp(2.0), 2.0, 3, [1, 10, 100], epsilon=0.1)
+        pool = _tuple_pool(Lp(2.0), 3, 1, 124, 0, 40)
+        assert verdict.rows[0].pool_size == len(pool) == 279
+        assert len(scanned) == len({lp_class(seq) for seq in pool}) == 40
+
+    def test_james_tuples_of_equal_shape_are_not_shared(self, scanned):
+        # the same coefficients at 1, 2 and at 5, 6: James measures the gap
+        # before a support, so the two tuples have different reports
+        spec = James()
+        pool = [
+            BlockSequence([SparseVector({1: 1.0}), SparseVector({2: -0.5})]),
+            BlockSequence([SparseVector({5: 1.0}), SparseVector({6: -0.5})]),
+        ]
+        net = ScalarNet.grid(step=0.25, max_len=2)
+        reference = LpReference(2.0, 2)
+        scans = {}
+        games._max_constant(spec, reference, pool, net, scans)
+        assert scanned == pool and len(scans) == 2
+        first, second = (equivalence_oracle(spec, seq, reference, net) for seq in pool)
+        assert first != second
+        assert list(scans.values()) == [first, second]
 
 
 class TestQuantizedColoring:
