@@ -160,6 +160,11 @@ def _window_tuples(K: int, H: int, n: int) -> Iterable[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class GoodnessRecord(_Report):
+    """Sup, inf and oscillation of one net tuple's norms over the window
+    [K, K+H].  ``evaluations`` is the number of window tuples covered, not
+    the number of norms computed: tuples whose blocks share coordinates
+    share one computation."""
+
     coeffs: tuple[float, ...]
     K: int
     H: int
@@ -212,6 +217,28 @@ def _sign_free(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(abs, coeffs))
 
 
+def _window_representatives(
+    norm_of: CombinationNorm, K: int, H: int, n: int, memo: dict
+) -> Iterable[tuple[int, ...]]:
+    """The window tuples a scan must evaluate: all of them when ``norm_of``
+    takes the ``combine`` path, else the first tuple of each distinct class
+    tuple, in window order.  A position's class is its coordinate list
+    ``norm_of.parts[k-1]``, compared by value; ``memo`` keeps the
+    representatives per (K, H, n)."""
+    parts = norm_of.parts
+    if parts is None:
+        return _window_tuples(K, H, n)
+    reps = memo.get((K, H, n))
+    if reps is None:
+        table: dict = {}
+        ids = {k: table.setdefault(tuple(parts[k - 1]), len(table)) for k in range(K, K + H + 1)}
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for ks in _window_tuples(K, H, n):
+            first.setdefault(tuple([ids[k] for k in ks]), ks)
+        reps = memo[K, H, n] = tuple(first.values())
+    return reps
+
+
 def _record_for_tuple(
     norm_of: CombinationNorm,
     coeffs: Sequence[float],
@@ -221,7 +248,9 @@ def _record_for_tuple(
 ) -> GoodnessRecord:
     """Window record for one tuple; ``memo`` shares the scan between tuples
     with equal values, and between sign patterns when ``norm_of`` is
-    unconditional.  The record itself always carries ``coeffs``."""
+    unconditional.  The record itself always carries ``coeffs``, and its
+    ``evaluations`` counts the window tuples the record covers, not the
+    norms computed for it."""
     n = len(coeffs)
     feasible = K + H <= len(norm_of.seq) and n <= H + 1
     if not feasible:
@@ -230,18 +259,21 @@ def _record_for_tuple(
     if key not in memo:
         sup = -math.inf
         inf = math.inf
-        count = 0
-        for ks in _window_tuples(K, H, n):
+        # Exact: combination_norm is a pure function of (coeffs, parts), so
+        # tuples of one class tuple give bit-identical values; sup and inf
+        # update strictly and the record keeps no positions, so a repeated
+        # value changes neither; and the first tuple to raise is a class
+        # tuple's first, which the representatives keep in window order.
+        for ks in _window_representatives(norm_of, K, H, n, memo):
             value = norm_of(coeffs, ks)
-            count += 1
             if value > sup:
                 sup = value
             if value < inf:
                 inf = value
-        memo[key] = (sup, inf, count)
-    sup, inf, count = memo[key]
+        memo[key] = (sup, inf)
+    sup, inf = memo[key]
     return GoodnessRecord(
-        tuple(coeffs), K, H, True, sup, inf, sup - inf, (sup + inf) / 2.0, count
+        tuple(coeffs), K, H, True, sup, inf, sup - inf, (sup + inf) / 2.0, math.comb(H + 1, n)
     )
 
 

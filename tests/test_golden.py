@@ -21,7 +21,10 @@ leave the window in 31 of 60 tuples) and the arity-3 parity milliken search
 were hashed before coarsening index tuples came from one enumerator and the
 tuple pool from one loop per kind.  The lp_sum, interleave(l_1, c_0) and
 James stabilized reports were hashed before the asymptotic verdict scanned
-each block-coordinate class once instead of each pool tuple.
+each block-coordinate class once instead of each pool tuple.  The goodness
+run of the README tour (the default grid(0.25, 4) net over the window
+[68, 80]) was hashed before goodness windows computed one norm per distinct
+class tuple of positions instead of one per position tuple.
 """
 
 import hashlib
@@ -47,6 +50,13 @@ GOLDEN = {
             "--net-step", "0.25", "--max-n", "3", "--epsilon", "1e-3", "--horizon", "68,9",
         ],
         "562db254f55b90e61f82a16d7c37997ac690dfcd38ac2439bb3853d4e4c39f03",
+    ),
+    "goodness-readme-tour": (
+        [
+            "goodness", "--space", EXAMPLE_SPACE, "--blocking", "|".join(str(i) for i in range(1, 90)),
+            "--net-step", "0.25", "--max-n", "4", "--epsilon", "1e-3", "--horizon", "68,12",
+        ],
+        "f53d5a1e36d856a154ef0585b830c2651dcbce107d55207feb396d1a75088088",
     ),
     "stabilize": (
         [

@@ -233,6 +233,19 @@ OVERLAPPING = [
 ]
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    real = blockseq.combination_norm
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blockseq, "combination_norm", counted)
+    return calls
+
+
 class TestGoodnessMemo:
     @settings(max_examples=40, deadline=None)
     @given(spec=st.sampled_from(SPECS), seq=block_lists(), K=st.integers(1, 2), H=st.integers(0, 4))
@@ -253,19 +266,13 @@ class TestGoodnessMemo:
         expected = [goodness_record_oracle(spec, OVERLAPPING, t, 1, 3) for t in net.tuples]
         assert list(report.records) == expected
 
-    @pytest.mark.parametrize("spec, computed", [(Lp(2.0), 2 * 4 + 8 * 6), (James(), 4 * 4 + 24 * 6)])
-    def test_unconditional_scans_compute_each_sign_pattern_once(self, spec, computed, monkeypatch):
-        calls = []
-        real = blockseq.combination_norm
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(blockseq, "combination_norm", counted)
+    # In l_2 the five unit vectors share one class, so each distinct |t| is
+    # computed once; in James each position is its own class.
+    @pytest.mark.parametrize("spec, computed", [(Lp(2.0), 2 + 8), (James(), 4 * 4 + 24 * 6)])
+    def test_scans_compute_once_per_sign_pattern_and_class_tuple(self, spec, computed, kernel_calls):
         net = ScalarNet.grid(step=0.5, max_len=2)  # 4 + 24 tuples, 2 + 8 distinct |t|
         report = goodness_test(spec, [SparseVector.unit(i) for i in range(1, 6)], net, K=1, H=3)
-        assert len(calls) == computed
+        assert len(kernel_calls) == computed
         assert sum(r.evaluations for r in report.records) == 4 * 4 + 24 * 6
 
     def test_memo_hits_carry_their_own_coefficients_and_counts(self):
@@ -285,6 +292,107 @@ class TestGoodnessMemo:
         assert [(r.coeffs, r.estimate, r.oscillation) for r in estimate.records] == [
             (r.coeffs, r.estimate, r.oscillation) for r in expected
         ]
+
+
+# the boundary between its segments sits at 8 | 9, inside the windows below
+STRADDLED = LpSum(2.0, (1.0, 1.5), (8, 60))
+
+
+@st.composite
+def repeated_shapes(draw):
+    """Successive blocks made of two or three shapes, each repeated and translated.
+
+    A shape is a list of (offset, coefficient) pairs; each block lays one
+    shape down from a cursor.  In l_p and c_0, and within one segment of an
+    l_p sum, the copies of a shape share a coordinate class.
+    """
+    shape = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=2, unique=True).flatmap(
+        lambda offsets: st.tuples(
+            st.just(sorted(offsets)), st.lists(sizable, min_size=len(offsets), max_size=len(offsets))
+        )
+    )
+    shapes = draw(st.lists(shape, min_size=2, max_size=3))
+    order = draw(st.lists(st.integers(min_value=0, max_value=len(shapes) - 1), min_size=3, max_size=8))
+    vectors = []
+    cursor = 1
+    for i in order:
+        offsets, coeffs = shapes[i]
+        vectors.append(SparseVector({cursor + o: c for o, c in zip(offsets, coeffs)}))
+        cursor += offsets[-1] + 1 + draw(st.sampled_from([0, 0, 1, 2]))
+    return vectors
+
+
+def spreading_oracle(spec, seq, net, horizons, H):
+    return [
+        (r.coeffs, K, r.feasible, r.estimate, r.oscillation)
+        for K in sorted(horizons)
+        for r in (goodness_record_oracle(spec, seq, t, K, H) for t in net.tuples)
+    ]
+
+
+def spreading_rows(estimate):
+    return [(r.coeffs, r.horizon, r.feasible, r.estimate, r.oscillation) for r in estimate.records]
+
+
+class TestGoodnessClassTuples:
+    """Window scans that compute one norm per class tuple of positions."""
+
+    @pytest.mark.parametrize("spec", SPECS + [STRADDLED])
+    @settings(max_examples=30, deadline=None)
+    @given(seq=repeated_shapes(), K=st.integers(1, 3), H=st.integers(0, 4))
+    def test_records_match_the_oracle(self, spec, seq, K, H):
+        net = ScalarNet.grid(step=0.5, max_len=2)
+        report = goodness_test(spec, seq, net, K=K, H=H)
+        assert list(report.records) == [goodness_record_oracle(spec, seq, t, K, H) for t in net.tuples]
+        estimate = spreading_model_estimate(spec, seq, net, horizons=[1, 3], H=H)
+        assert spreading_rows(estimate) == spreading_oracle(spec, seq, net, [1, 3], H)
+
+    def test_a_window_across_a_segment_boundary(self, kernel_calls):
+        # one shape on both sides of the boundary: two classes, not one
+        seq = [SparseVector({k: 1.0, k + 1: -0.5}) for k in range(1, 20, 3)]
+        segments = {s for v in seq[:5] for s, _ in STRADDLED.coordinates(v)}
+        assert segments == {0, 1}
+        net = ScalarNet.grid(step=0.5, max_len=3)
+        report = goodness_test(STRADDLED, seq, net, K=1, H=4)
+        assert list(report.records) == [goodness_record_oracle(STRADDLED, seq, t, 1, 4) for t in net.tuples]
+        assert 0 < len(kernel_calls) < sum(r.evaluations for r in report.records)
+        assert report.verdict == "oscillating"
+
+    @pytest.mark.parametrize("spec", [Lp(2.0), C0(), James()])
+    def test_overlapping_supports_walk_every_tuple(self, spec, monkeypatch):
+        # translated copies of one shape, but overlapping: no classes, and
+        # each distinct net tuple is combined over its whole window
+        seq = [SparseVector({k: 1.0, k + 1: 1.0}) for k in range(1, 8)]
+        calls = []
+        real = blockseq.combine
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blockseq, "combine", counted)
+        net = ScalarNet.grid(step=0.5, max_len=2)
+        report = goodness_test(spec, seq, net, K=2, H=4)
+        assert len(calls) == sum(r.evaluations for r in report.records)
+        assert list(report.records) == [goodness_record_oracle(spec, seq, t, 2, 4) for t in net.tuples]
+
+    @pytest.mark.parametrize("spec", [Lp(2.0), C0(), LpSum(2.0, (1.0, 1.5), (3, 60)), James()])
+    def test_an_overflow_raises_what_the_oracle_raises(self, spec):
+        # units and two huge blocks: the window's first overflow, at (1, 4),
+        # is -inf; a later one, of another class tuple, is +inf
+        huge = {4: -1e300, 6: 1e300}
+        seq = [SparseVector({k: huge.get(k, 1.0)}) for k in range(1, 9)]
+        net = ScalarNet.of([(1.0,), (1.0, 1e10)])
+
+        def raised(run):
+            with pytest.raises(InvalidVectorError) as info:
+                run()
+            return str(info.value)
+
+        expected = raised(lambda: [goodness_record_oracle(spec, seq, t, 1, 5) for t in net.tuples])
+        assert expected == "coefficient -inf is not finite"
+        assert raised(lambda: goodness_test(spec, seq, net, K=1, H=5)) == expected
+        assert raised(lambda: spreading_model_estimate(spec, seq, net, horizons=[1], H=5)) == expected
 
 
 class TestEquivalenceMemo:

@@ -27,6 +27,8 @@ def test_library_tour_runs_verbatim():
     assert "# 'good-within-tolerance'" in block
     assert namespace["report"].verdict == "good-within-tolerance"
     assert namespace["report"].net.max_len == 4
+    assert "counts 4 904 952 window evaluations" in README.read_text(encoding="utf-8")
+    assert sum(r.evaluations for r in namespace["report"].records) == 4_904_952
 
     assert "# '1|3|5'" in block
     assert namespace["cert"].witness.encode() == "1|3|5"
