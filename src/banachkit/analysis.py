@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .blockseq import BlockSequence, CombinationNorm, combine, nccb_from_blocking
+from .blockseq import BlockSequence, CombinationNorm, _sign_free, nccb_from_blocking
 from .combinatorics import (
     Blocking,
     BlockClasses,
@@ -43,6 +43,7 @@ from .spaces import (
     _check_exponent,
     _p_doc,
     _reject_coefficient,
+    _sum_left,
     combination_norm,
     make_example_space,
     type_p_witness,
@@ -148,11 +149,6 @@ class ScalarNet:
         return {"step": self.step, "max_len": self.max_len, "size": len(self.tuples)}
 
 
-def _window_tuples(K: int, H: int, n: int) -> Iterable[tuple[int, ...]]:
-    """All increasing n-tuples k_1 < ... < k_n with K <= k_1 and k_n <= K + H."""
-    return itertools.combinations(range(K, K + H + 1), n)
-
-
 # ---------------------------------------------------------------------------
 # Goodness
 # ---------------------------------------------------------------------------
@@ -213,65 +209,14 @@ def _check_quantum(quantum: float) -> None:
         raise ValueError(f"quantum must be finite and > 0, got {quantum!r}")
 
 
-def _sign_free(coeffs: Sequence[float]) -> tuple[float, ...]:
-    return tuple(map(abs, coeffs))
-
-
-def _window_representatives(
-    norm_of: CombinationNorm, K: int, H: int, n: int, memo: dict
-) -> Iterable[tuple[int, ...]]:
-    """The window tuples a scan must evaluate: all of them when ``norm_of``
-    takes the ``combine`` path, else the first tuple of each distinct class
-    tuple, in window order.  A position's class is its coordinate list
-    ``norm_of.parts[k-1]``, compared by value; ``memo`` keeps the
-    representatives per (K, H, n)."""
-    parts = norm_of.parts
-    if parts is None:
-        return _window_tuples(K, H, n)
-    reps = memo.get((K, H, n))
-    if reps is None:
-        table: dict = {}
-        ids = {k: table.setdefault(tuple(parts[k - 1]), len(table)) for k in range(K, K + H + 1)}
-        first: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for ks in _window_tuples(K, H, n):
-            first.setdefault(tuple([ids[k] for k in ks]), ks)
-        reps = memo[K, H, n] = tuple(first.values())
-    return reps
-
-
-def _record_for_tuple(
-    norm_of: CombinationNorm,
-    coeffs: Sequence[float],
-    K: int,
-    H: int,
-    memo: dict,
-) -> GoodnessRecord:
-    """Window record for one tuple; ``memo`` shares the scan between tuples
-    with equal values, and between sign patterns when ``norm_of`` is
-    unconditional.  The record itself always carries ``coeffs``, and its
-    ``evaluations`` counts the window tuples the record covers, not the
-    norms computed for it."""
+def _record_for_tuple(norm_of: CombinationNorm, coeffs: Sequence[float], K: int, H: int) -> GoodnessRecord:
+    """Window record for one tuple.  Its ``evaluations`` counts the window
+    tuples the record covers, not the norms computed for it."""
     n = len(coeffs)
     feasible = K + H <= len(norm_of.seq) and n <= H + 1
     if not feasible:
         return GoodnessRecord(tuple(coeffs), K, H, False, None, None, None, None, 0)
-    key = (_sign_free(coeffs) if norm_of.unconditional else tuple(coeffs), K, H)
-    if key not in memo:
-        sup = -math.inf
-        inf = math.inf
-        # Exact: combination_norm is a pure function of (coeffs, parts), so
-        # tuples of one class tuple give bit-identical values; sup and inf
-        # update strictly and the record keeps no positions, so a repeated
-        # value changes neither; and the first tuple to raise is a class
-        # tuple's first, which the representatives keep in window order.
-        for ks in _window_representatives(norm_of, K, H, n, memo):
-            value = norm_of(coeffs, ks)
-            if value > sup:
-                sup = value
-            if value < inf:
-                inf = value
-        memo[key] = (sup, inf)
-    sup, inf = memo[key]
+    sup, inf = norm_of.window_extremes(coeffs, K, H)
     return GoodnessRecord(
         tuple(coeffs), K, H, True, sup, inf, sup - inf, (sup + inf) / 2.0, math.comb(H + 1, n)
     )
@@ -300,8 +245,7 @@ def goodness_test(
     if K < 1 or H < 0:
         raise ValueError(f"window needs K >= 1 and H >= 0, got K={K}, H={H}")
     norm_of = CombinationNorm(spec, seq)
-    memo: dict = {}
-    records = tuple(_record_for_tuple(norm_of, t, K, H, memo) for t in net.tuples)
+    records = tuple(_record_for_tuple(norm_of, t, K, H) for t in net.tuples)
     diagnostics = []
     if any(not r.feasible for r in records):
         verdict = VERDICT_INCONCLUSIVE
@@ -383,11 +327,10 @@ def spreading_model_estimate(
     if H < 0 or min(horizons) < 1:
         raise ValueError(f"need H >= 0 and every horizon >= 1, got H={H}, horizons={list(horizons)}")
     norm_of = CombinationNorm(spec, seq)
-    memo: dict = {}
     records = []
     for K in sorted(horizons):
         for t in net.tuples:
-            r = _record_for_tuple(norm_of, t, K, H, memo)
+            r = _record_for_tuple(norm_of, t, K, H)
             records.append(
                 SpreadingRecord(r.coeffs, K, H, r.feasible, r.estimate, r.oscillation)
             )
@@ -446,10 +389,10 @@ class LpReference:
         if self.p == math.inf:
             return max(abs(c) for c in coeffs)
         if self.p == 1.0:
-            return sum(abs(c) for c in coeffs)
+            return _sum_left(abs(c) for c in coeffs)
         if self.p == 2.0:
-            return math.sqrt(sum(c * c for c in coeffs))
-        return sum(abs(c) ** self.p for c in coeffs) ** (1.0 / self.p)
+            return math.sqrt(_sum_left(c * c for c in coeffs))
+        return _sum_left(abs(c) ** self.p for c in coeffs) ** (1.0 / self.p)
 
     def describe(self) -> dict:
         return {"kind": "lp", "p": _p_doc(self.p), "n": self.n}
@@ -465,13 +408,15 @@ class SequenceReference:
     def __init__(self, spec: SpaceSpec, seq: Sequence[SparseVector]):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "seq", tuple(seq))
+        # outside the fields, so equality and hashing ignore it
+        object.__setattr__(self, "_norm_of", CombinationNorm(spec, self.seq))
 
     @property
     def n(self) -> int:
         return len(self.seq)
 
     def coeff_norm(self, coeffs: Sequence[float]) -> float:
-        return self.spec.norm(combine(self.seq, coeffs, range(1, len(coeffs) + 1)))
+        return self._norm_of(coeffs, range(1, len(coeffs) + 1))
 
     def describe(self) -> dict:
         return {"kind": "sequence", "space": self.spec.to_doc(), "n": self.n}
@@ -658,7 +603,7 @@ def brunel_sucheston_extract(
         if len(current) >= L:
             ground = current
             # norms of normalized blocks lie in [0, sum_i |a_i|]
-            cells = sum(map(abs, coeffs)) / eps if eps > 0.0 else math.inf
+            cells = _sum_left(map(abs, coeffs)) / eps if eps > 0.0 else math.inf
             if not cells < math.inf:
                 raise ValueError(
                     f"extraction step m={m} with eps={eps!r} and coefficients "
@@ -755,7 +700,7 @@ def norm_quantization_coloring(
     """
     _check_quantum(quantum)
     coeffs = tuple(float(c) for c in coeffs)
-    cells = sum(map(abs, coeffs)) / quantum
+    cells = _sum_left(map(abs, coeffs)) / quantum
     if not cells < math.inf:
         raise ValueError(f"quantum {quantum!r} and coefficients {list(coeffs)} give no finite count of colors")
     # the largest odd and even indices reach furthest, in an Interleave too
@@ -774,14 +719,14 @@ def norm_quantization_coloring(
                 class_coords.append(coords)
         return cid
 
-    # As in combine, a block under a zero coefficient is never normalized:
-    # its id is -1 and its coordinates are empty.
+    # As in a combination, a block under a zero coefficient is never
+    # normalized: its id is -1 and its coordinates are empty.
     def class_at(i: int, elements: tuple[int, ...]) -> int:
         return class_id(elements) if coeffs[i] != 0.0 else -1
 
     def fn(blocks: tuple[FiniteSet, ...]) -> int:
         # the blocks of a blocking are successively increasing
-        return color_of(tuple([class_id(b.elements) if a != 0.0 else -1 for a, b in zip(coeffs, blocks)]))
+        return color_of(tuple([class_at(i, b.elements) for i, b in enumerate(blocks)]))
 
     def color_of(key: tuple[int, ...]) -> int:
         color = colors.get(key)
@@ -1088,7 +1033,7 @@ def verify_example_space(
         n = len(parts)
         coeffs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         value = combination_norm(spec, coeffs, parts)
-        power_sum = sum(abs(a) ** spec.p for a in coeffs)
+        power_sum = _sum_left(abs(a) ** spec.p for a in coeffs)
         s0 = parts[0][0][0] + 1
         cap = n ** (spec.p / spec.ps[s0 - 1] - 1.0) * power_sum
         mid = value ** spec.p

@@ -14,8 +14,10 @@ silently absorbed.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import Blocking, FiniteSet, coarsen_by_indices
 from .spaces import InvalidVectorError, SparseVector, SpaceSpec, combination_norm
@@ -233,12 +235,60 @@ class CombinationNorm:
             except InvalidVectorError:
                 pass  # the combine path raises it where a combination meets it
         self.unconditional = self.parts is not None and spec.unconditional
+        self._extremes: dict = {}
+        self._windows: dict = {}
 
     def __call__(self, coeffs: Sequence[float], positions: Sequence[int]) -> float:
         parts = self.parts
         if parts is None:
             return self.spec.norm(combine(self.seq, coeffs, positions))
         return combination_norm(self.spec, coeffs, [parts[k - 1] for k in positions])
+
+    def window_extremes(self, coeffs: Sequence[float], K: int, H: int) -> tuple[float, float]:
+        """(sup, inf) of the values over the increasing len(coeffs)-tuples of
+        positions in [K, K + H], a window inside 1..len(seq).
+
+        The ``combine`` path evaluates every tuple; otherwise only the first
+        tuple of each distinct class tuple is, in window order, where a
+        position's class is its coordinate list.  Results are memoized by
+        (coefficients, K, H), with the sign-free key of the coefficients
+        when ``unconditional``.
+        """
+        key = (_sign_free(coeffs) if self.unconditional else tuple(coeffs), K, H)
+        extremes = self._extremes.get(key)
+        if extremes is None:
+            sup, inf = -math.inf, math.inf
+            # Exact: combination_norm is a pure function of (coeffs, parts), so
+            # tuples of one class tuple give bit-identical values; sup and inf
+            # update strictly and the caller sees no positions, so a repeated
+            # value changes neither; and the first tuple to raise is a class
+            # tuple's first, which the representatives keep in window order.
+            for ks in self._window(K, H, len(coeffs)):
+                value = self(coeffs, ks)
+                if value > sup:
+                    sup = value
+                if value < inf:
+                    inf = value
+            extremes = self._extremes[key] = (sup, inf)
+        return extremes
+
+    def _window(self, K: int, H: int, n: int) -> Iterable[tuple[int, ...]]:
+        tuples = itertools.combinations(range(K, K + H + 1), n)
+        if self.parts is None:
+            return tuples
+        reps = self._windows.get((K, H, n))
+        if reps is None:
+            table: dict = {}
+            ids = {k: table.setdefault(tuple(self.parts[k - 1]), len(table)) for k in range(K, K + H + 1)}
+            first: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for ks in tuples:
+                first.setdefault(tuple([ids[k] for k in ks]), ks)
+            reps = self._windows[K, H, n] = tuple(first.values())
+        return reps
+
+
+def _sign_free(coeffs: Sequence[float]) -> tuple[float, ...]:
+    return tuple(map(abs, coeffs))
 
 
 def _successive(seq: Sequence[SparseVector]) -> bool:

@@ -241,14 +241,23 @@ class Lp(_Space):
             return 0.0
         if self.p == INF:
             return max(abs(c) for _, c in coords)
+        # the sums run left to right, as in _sum_left, written out for speed
+        total = 0.0
         if self.p == 1.0:
-            return sum(abs(c) for _, c in coords)
+            for _, c in coords:
+                total += abs(c)
+            return total
         # factor out the largest magnitude so powers of tiny or huge
         # coefficients cannot underflow or overflow
         scale = max(abs(c) for _, c in coords)
         if self.p == 2.0:
-            return scale * math.sqrt(sum((c / scale) ** 2 for _, c in coords))
-        return scale * sum(abs(c / scale) ** self.p for _, c in coords) ** (1.0 / self.p)
+            for _, c in coords:
+                total += (c / scale) ** 2
+            return scale * math.sqrt(total)
+        p = self.p
+        for _, c in coords:
+            total += abs(c / scale) ** p
+        return scale * total ** (1.0 / p)
 
     def to_doc(self) -> dict:
         return {"kind": "lp", "p": _p_doc(self.p)}
@@ -486,6 +495,18 @@ SpaceSpec = Lp | C0 | LpSum | Interleave | James
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+
+def _sum_left(terms: Iterable[float]) -> float:
+    """The float sum of ``terms``, added left to right.
+
+    From Python 3.12 on, ``sum`` compensates float rounding, so its value,
+    and every report built on it, would depend on the interpreter.
+    """
+    total = 0.0
+    for x in terms:
+        total += x
+    return total
 
 
 def norm(spec: SpaceSpec, v: SparseVector) -> float:

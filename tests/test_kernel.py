@@ -395,6 +395,41 @@ class TestGoodnessClassTuples:
         assert raised(lambda: spreading_model_estimate(spec, seq, net, horizons=[1], H=5)) == expected
 
 
+class TestWindowExtremes:
+    """``CombinationNorm.window_extremes`` and the memo it keeps."""
+
+    def test_one_kernel_serves_every_horizon(self, kernel_calls, monkeypatch):
+        # the README sequence: units 1..89 of the example space, whose third
+        # segment starts at 68, so each window holds one coordinate class
+        spec = LpSum(2.0, (1.0, 1.5, 1.8), (2, 65, 3**18 + 1))
+        seq = [SparseVector.unit(i) for i in range(1, 90)]
+        net = ScalarNet.grid(step=0.25, max_len=4)  # 7 376 tuples, 776 distinct |t|
+        built = []
+        real_init = CombinationNorm.__init__
+
+        def counted_init(self, *args):
+            built.append(self)
+            real_init(self, *args)
+
+        monkeypatch.setattr(CombinationNorm, "__init__", counted_init)
+        estimate = spreading_model_estimate(spec, seq, net, horizons=[68, 68, 70])
+        assert len(built) == 1
+        # one norm per distinct |t| and horizon; the repeated 68 adds none
+        assert len(kernel_calls) == 2 * 776
+        rows = spreading_rows(estimate)
+        size = len(net.tuples)
+        assert rows[:size] == rows[size : 2 * size]
+        assert [r[1] for r in rows] == [68] * (2 * size) + [70] * size
+
+    def test_memo_serves_every_sign_pattern(self, kernel_calls):
+        kernel = CombinationNorm(Lp(2.0), [SparseVector.unit(i) for i in range(1, 6)])
+        extremes = kernel.window_extremes((1.0, -0.5), 1, 3)
+        assert len(kernel_calls) == 1
+        assert kernel.window_extremes((-1.0, 0.5), 1, 3) is extremes
+        assert kernel.window_extremes((1.0, -0.5), 2, 3) == extremes
+        assert len(kernel_calls) == 2
+
+
 class TestEquivalenceMemo:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -20,8 +20,10 @@ from banachkit.spaces import (
     norm,
     segment_of,
     space_from_doc,
+    _sum_left,
     type_p_witness,
 )
+from banachkit.analysis import LpReference
 
 from conftest import james_norm_bruteforce, lpsum_norm_direct, random_sparse_vector
 
@@ -98,6 +100,16 @@ class TestLpAndC0:
     def test_bad_exponent_rejected(self):
         with pytest.raises(InvalidSpecError):
             Lp(0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_powers_add_left_to_right(self, p):
+        # the powers are 1.0, 1e-16, 1e-16: added left to right the small
+        # ones vanish, while a compensated sum (Python 3.12's) keeps them
+        tiny = 1e-16 ** (1.0 / p)
+        v = SparseVector({1: 1.0, 2: tiny, 3: -tiny})
+        assert norm(Lp(p), v) == 1.0
+        assert LpReference(p, 3).coeff_norm([1.0, tiny, -tiny]) == 1.0
+        assert _sum_left([1.0, 1e-16, 1e-16]) == 1.0
 
 
 class TestLpSum:
