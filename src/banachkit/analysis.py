@@ -416,6 +416,8 @@ class SequenceReference:
         return len(self.seq)
 
     def coeff_norm(self, coeffs: Sequence[float]) -> float:
+        if len(coeffs) > self.n:
+            raise ValueError(f"{len(coeffs)} coefficients for {self.n} reference vectors")
         return self._norm_of(coeffs, range(1, len(coeffs) + 1))
 
     def describe(self) -> dict:

@@ -248,8 +248,8 @@ class CombinationNorm:
         """(sup, inf) of the values over the increasing len(coeffs)-tuples of
         positions in [K, K + H], a window inside 1..len(seq).
 
-        The ``combine`` path evaluates every tuple; otherwise only the first
-        tuple of each distinct class tuple is, in window order, where a
+        On the ``combine`` path every tuple is evaluated, otherwise only the
+        first tuple of each distinct class tuple, in window order; a
         position's class is its coordinate list.  Results are memoized by
         (coefficients, K, H), with the sign-free key of the coefficients
         when ``unconditional``.

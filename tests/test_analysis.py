@@ -245,6 +245,14 @@ class TestEquivalence:
         assert forward.upper == pytest.approx(backward.lower, abs=1e-12)
         assert forward.constant == pytest.approx(backward.constant, abs=1e-12)
 
+    def test_sequence_reference_rejects_extra_coefficients(self):
+        # successive supports take the kernel, overlapping ones combine
+        for seq in (lp_units(2), [SparseVector({1: 1.0, 2: 1.0}), SparseVector({2: 1.0})]):
+            ref = SequenceReference(Lp(1.0), seq)
+            assert ref.coeff_norm([1.0, -1.0]) == norm(Lp(1.0), combine(seq, [1.0, -1.0], [1, 2]))
+            with pytest.raises(ValueError, match="3 coefficients for 2 reference vectors"):
+                ref.coeff_norm([1.0, 1.0, 1.0])
+
     def test_claim1_bound_on_block_tuples(self):
         spec = make_example_space(2.0, 3, [1.0, 1.5, 1.8])
         rng = Random(4)
