@@ -7,162 +7,13 @@ finite Ramsey/Hindman/Milliken-Taylor monochromatic searches driving an
 NCCB stabilization procedure.
 """
 
-from .spaces import (
-    C0,
-    Interleave,
-    James,
-    Lp,
-    LpSum,
-    SegmentIndex,
-    SparseVector,
-    SpaceSpec,
-    combination_norm,
-    make_example_space,
-    norm,
-    segment_of,
-    space_from_doc,
-    type_p_witness,
-)
-from .combinatorics import (
-    Blocking,
-    Coloring,
-    FiniteSet,
-    SearchCertificate,
-    coarsenings,
-    diagonal,
-    finite_unions,
-    hindman_search,
-    is_blocking,
-    is_coarser,
-    milliken_taylor_search,
-    min_parity_coloring,
-    ramsey_search,
-)
-from .blockseq import (
-    BlockArray,
-    BlockSequence,
-    BlockTree,
-    CombinationNorm,
-    block_sums,
-    branch,
-    combine,
-    interleave_array,
-    merge_blocking,
-    nccb_from_blocking,
-    nccb_of_sequence,
-    subsequence_tree,
-    tree_from_array,
-)
-from .analysis import (
-    EquivalenceReport,
-    GoodnessReport,
-    KrivineReport,
-    LpReference,
-    ScalarNet,
-    SequenceReference,
-    SpreadingEstimate,
-    StabilizationResult,
-    brunel_sucheston_extract,
-    equivalence_constant,
-    verify_example_space,
-    goodness_test,
-    krivine_p_estimate,
-    nccb_stabilize,
-    norm_quantization_coloring,
-    spreading_model_estimate,
-)
-from .games import (
-    AsymptoticReport,
-    AsymptoticVerdict,
-    BranchExtraction,
-    GameTranscript,
-    ProtocolViolationError,
-    Strategy,
-    asymptotic_lp_verdict,
-    good_branch_extract,
-    play,
-    stabilized_constant,
-    strategy_from_name,
-    subspace_constant,
-    subspace_tail,
-    vector_nccb,
-    vector_net,
-    vector_unit,
-)
+from . import analysis, blockseq, combinatorics, games, spaces
+from .spaces import *
+from .combinatorics import *
+from .blockseq import *
+from .analysis import *
+from .games import *
 
-__all__ = [
-    "C0",
-    "Interleave",
-    "James",
-    "Lp",
-    "LpSum",
-    "SegmentIndex",
-    "SparseVector",
-    "SpaceSpec",
-    "combination_norm",
-    "make_example_space",
-    "norm",
-    "segment_of",
-    "space_from_doc",
-    "type_p_witness",
-    "Blocking",
-    "Coloring",
-    "FiniteSet",
-    "SearchCertificate",
-    "coarsenings",
-    "diagonal",
-    "finite_unions",
-    "hindman_search",
-    "is_blocking",
-    "is_coarser",
-    "milliken_taylor_search",
-    "min_parity_coloring",
-    "ramsey_search",
-    "BlockArray",
-    "BlockSequence",
-    "BlockTree",
-    "CombinationNorm",
-    "block_sums",
-    "branch",
-    "combine",
-    "interleave_array",
-    "merge_blocking",
-    "nccb_from_blocking",
-    "nccb_of_sequence",
-    "subsequence_tree",
-    "tree_from_array",
-    "EquivalenceReport",
-    "GoodnessReport",
-    "KrivineReport",
-    "LpReference",
-    "ScalarNet",
-    "SequenceReference",
-    "SpreadingEstimate",
-    "StabilizationResult",
-    "brunel_sucheston_extract",
-    "equivalence_constant",
-    "verify_example_space",
-    "goodness_test",
-    "krivine_p_estimate",
-    "nccb_stabilize",
-    "norm_quantization_coloring",
-    "spreading_model_estimate",
-    "AsymptoticReport",
-    "AsymptoticVerdict",
-    "BranchExtraction",
-    "GameTranscript",
-    "ProtocolViolationError",
-    "Strategy",
-    "asymptotic_lp_verdict",
-    "good_branch_extract",
-    "play",
-    "stabilized_constant",
-    "strategy_from_name",
-    "subspace_constant",
-    "subspace_tail",
-    "vector_nccb",
-    "vector_net",
-    "vector_unit",
-]
+__all__ = spaces.__all__ + combinatorics.__all__ + blockseq.__all__ + analysis.__all__ + games.__all__
 
 __version__ = "0.1.0"

@@ -304,7 +304,7 @@ class LpSum(_Space):
             raise InvalidSpecError(f"segment dimensions must be integers, got {list(self.ns)}")
         if len(ps) != len(ns) or not ps:
             raise InvalidSpecError("ps and ns must be nonempty lists of equal length")
-        if any(q < 1.0 or q > p for q in ps):
+        if any(not (1.0 <= q <= p) for q in ps):
             raise InvalidSpecError("inner exponents must lie in [1, p]")
         if any(b < a for a, b in zip(ps, ps[1:])):
             raise InvalidSpecError("inner exponents must be nondecreasing")
@@ -573,7 +573,7 @@ def make_example_space(p: float, num_segments: int, ps: Iterable[float]) -> LpSu
     ps = tuple(float(q) for q in ps)
     if len(ps) != num_segments:
         raise InvalidSpecError(f"expected {num_segments} inner exponents, got {len(ps)}")
-    if any(q < 1.0 or q >= p for q in ps):
+    if any(not (1.0 <= q < p) for q in ps):
         raise InvalidSpecError("inner exponents must lie in [1, p)")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise InvalidSpecError("inner exponents must be strictly increasing")

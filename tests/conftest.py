@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from random import Random
 
+from hypothesis import settings
+
 from banachkit.spaces import LpSum, SparseVector
+
+# Under CI (GitHub Actions sets CI) every @given test draws the same examples
+# on every run, so a red run replays exactly; local runs keep drawing new ones.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def james_norm_bruteforce(v: SparseVector) -> float:

@@ -367,6 +367,16 @@ class TestStabilization:
         assert result.blocking.encode() == "3|4|5|6|7|8"
         assert verify_stabilization(spec, result, net)
 
+    def test_ground_too_small_for_the_longest_tuples_is_incomplete(self):
+        # two singletons cannot carry the length-3 tuples of the net
+        result = nccb_stabilize(Lp(2.0), 2, ScalarNet.grid(1.0, 3), epsilon=0.1, quantum=0.05)
+        assert not result.complete
+        assert result.blocking == Blocking.singletons(2)
+        skipped = [step for step in result.steps if len(step.coeffs) == 3]
+        assert skipped
+        assert all((step.found, step.color, step.nodes_explored) == (False, None, 0) for step in skipped)
+        assert all(step.found for step in result.steps if len(step.coeffs) < 3)
+
     def test_post_goodness_within_eps_plus_quantum(self):
         spec = make_example_space(2.0, 3, [1.0, 1.5, 1.8])
         net = ScalarNet.grid(0.5, 2)

@@ -78,6 +78,11 @@ class TestNormCommand:
         code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    def test_nan_inner_exponent_is_usage_error(self):
+        space = '{"kind":"lp_sum","p":2,"ps":[NaN],"ns":[3]}'
+        code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
+        assert (code, out, err) == (2, "", "config error: inner exponents must lie in [1, p]\n")
+
     @pytest.mark.parametrize(
         "space, message",
         [
@@ -133,6 +138,10 @@ class TestVerifyExampleSpace:
         code, out, err = run_cli("verify-example-space", "--ps", "1")
         assert code == 2
         assert out == "" and "total dimension 2" in err
+
+    def test_nan_inner_exponent_is_usage_error(self):
+        code, out, err = run_cli("verify-example-space", "--ps", "nan")
+        assert (code, out, err) == (2, "", "config error: inner exponents must lie in [1, p)\n")
 
 
 class TestSearchCommands:

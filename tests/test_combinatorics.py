@@ -1,5 +1,7 @@
 """Blocking operations and the three monochromatic searches."""
 
+from dataclasses import replace
+from functools import partial
 from itertools import combinations, islice
 from random import Random
 
@@ -362,6 +364,39 @@ class TestArityChecks:
         c = constant_coloring(4, kind="blocking")
         cert = milliken_taylor_search(c, Blocking.singletons(4), 2, 3)
         assert verify_milliken_taylor_certificate(c, 2, cert)
+
+
+def verifier_case(search):
+    """A verifier bound to its coloring, the certificate the search found, and
+    the same witness with one set changed so that an object it generates
+    takes the other color."""
+    if search == "ramsey":
+        c = sum_parity_coloring(6)  # witness 1,3,5 of color 0; {1, 4} has color 1
+        return partial(verify_ramsey_certificate, c, 2), ramsey_search(c, 2, 3), FiniteSet([1, 3, 4])
+    if search == "hindman":
+        c = min_parity_coloring(10)  # witness 1|3|5 of color 1; {4} has color 0
+        return partial(verify_hindman_certificate, c), hindman_search(c, 10, 3), B("1|3|4")
+    c = Coloring(  # witness 1|3|4 of color 1; the coarsening 2|4 has color 0
+        kind="blocking", colors=2, ground=6,
+        fn=lambda blocks: blocks[0].min() % 2, arity=2, name="first-min-parity",
+    )
+    cert = milliken_taylor_search(c, Blocking.singletons(6), 2, 3)
+    return partial(verify_milliken_taylor_certificate, c, 2), cert, B("1|2|4")
+
+
+TAMPERINGS = {
+    "wrong-color": lambda cert, changed: replace(cert, color=1 - cert.color),
+    "one-set-changed": lambda cert, changed: replace(cert, witness=changed),
+    "not-found": lambda cert, changed: replace(cert, found=False),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+@pytest.mark.parametrize("search", ["ramsey", "hindman", "milliken"])
+def test_verifier_rejects_a_tampered_certificate(search, tampering):
+    verify, cert, changed = verifier_case(search)
+    assert verify(cert) is True
+    assert verify(TAMPERINGS[tampering](cert, changed)) is False
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,10 @@ class TestLpSum:
             LpSum(p=2.0, ps=(1.0,), ns=(2.5,))
         assert LpSum(p=2.0, ps=(1.0,), ns=(2.0,)).ns == (2,)
 
+    def test_nan_inner_exponent_rejected(self):
+        with pytest.raises(InvalidSpecError, match=r"inner exponents must lie in \[1, p\]"):
+            LpSum(p=2.0, ps=(math.nan,), ns=(3,))
+
 
 class TestMakeExampleSpace:
     def test_dimensions(self):
@@ -184,6 +188,11 @@ class TestMakeExampleSpace:
             make_example_space(2.0, 2, [1.5, 1.0])
         with pytest.raises(InvalidSpecError):
             make_example_space(2.0, 2, [1.0, 2.0])
+
+    @pytest.mark.parametrize("ps", [[math.nan], [1.0, math.nan]])
+    def test_nan_inner_exponent_rejected(self, ps):
+        with pytest.raises(InvalidSpecError, match=r"inner exponents must lie in \[1, p\)"):
+            make_example_space(2.0, len(ps), ps)
 
 
 class TestJames:
@@ -325,6 +334,11 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidSpecError):
             space_from_doc({"kind": "tsirelson"})
+
+    @pytest.mark.parametrize("doc", [{}, 3])
+    def test_document_without_kind_rejected(self, doc):
+        with pytest.raises(InvalidSpecError, match=f"space document {doc!r} has no 'kind'"):
+            space_from_doc(doc)
 
     @pytest.mark.parametrize(
         "doc",
