@@ -377,134 +377,115 @@ def _at_least(minimum: int):
     return parse
 
 
-def _add_common(sub, net: bool = True, max_n: bool = True):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if net:
-        sub.add_argument("--net-step", type=_net_step, default=0.25)
-        if max_n:
-            sub.add_argument("--max-n", type=int, default=2)
+# Options shared by several commands: (flag, add_argument kwargs) pairs and tuples of them
+_SEED_FORMAT = (
+    ("--seed", dict(type=int, default=0)),
+    ("--format", dict(choices=("json", "csv"), default="json")),
+)
+_NET = (*_SEED_FORMAT, ("--net-step", dict(type=_net_step, default=0.25)))
+_NET_MAX_N = (*_NET, ("--max-n", dict(type=int, default=2)))
+_SPACE = ("--space", dict(required=True))
+_SEQUENCE = (
+    ("--blocking", dict(help="NCCB sequence over this blocking, e.g. '1,2|4|7,8'")),
+    ("--vectors", dict(help="JSON file: list of vectors as index/coefficient pairs")),
+)
+_COLORING = ("--coloring", dict(required=True))
+_M = ("--M", dict(type=int, required=True))
+_K = ("--k", dict(type=int, required=True))
+_L = ("--L", dict(type=int, required=True))
 
-
-def _add_sequence_args(sub):
-    sub.add_argument("--blocking", help="NCCB sequence over this blocking, e.g. '1,2|4|7,8'")
-    sub.add_argument("--vectors", help="JSON file: list of vectors as index/coefficient pairs")
+# (name, help, handler, options in --help order)
+_COMMANDS = (
+    ("norm", "norm of a vector in a space", _cmd_norm, (
+        _SPACE,
+        ("--vector", dict(required=True, help="e.g. '1:1,2:-0.5'")),
+        *_SEED_FORMAT,
+    )),
+    ("verify-example-space", "sandwich bounds and type-p failure checks", _cmd_verify_example_space, (
+        ("--p", dict(type=float, default=2.0)),
+        ("--ps", dict(default="1,1.5,1.8")),
+        ("--trials", dict(type=int, default=1000)),
+        *_SEED_FORMAT,
+    )),
+    ("goodness", "oscillation of combination norms over a window", _cmd_goodness, (
+        ("--space", {}), *_SEQUENCE,
+        ("--demo", dict(choices=("interleave-oscillation",))),
+        ("--epsilon", dict(type=float, default=1e-6)),
+        ("--horizon", dict(type=_horizon, help="K,H window")),
+        *_NET_MAX_N,
+    )),
+    ("spreading", "per-tuple limit estimates at horizons", _cmd_spreading, (
+        _SPACE, *_SEQUENCE,
+        ("--horizons", dict(required=True, help="e.g. '1,3,68'")),
+        ("--window", dict(type=_at_least(0), default=None)),
+        ("--fit-p", dict(action="store_true")),
+        *_NET_MAX_N,
+    )),
+    ("equivalence", "two-sided equivalence constant against lp(p,n)", _cmd_equivalence, (
+        _SPACE, *_SEQUENCE,
+        ("--ref-p", dict(default="2")),
+        ("--ref-n", dict(type=_at_least(1), default=None)),
+        *_NET,
+    )),
+    ("game", "run the subspace-vs-vector game", _cmd_game, (
+        _SPACE,
+        ("--subspace", dict(default="tail:1", help="constant:m or tail:lead")),
+        ("--vector-player", dict(default="unit", help="unit, nccb:width or net:window:pick")),
+        ("--rounds", dict(type=_at_least(0), default=4)),
+        *_SEED_FORMAT,
+    )),
+    ("stabilized", "sampled C(N,n) table over a cutoff schedule", _cmd_stabilized, (
+        _SPACE,
+        ("--p", dict(default="2")),
+        ("--n", dict(type=_at_least(1), default=2)),
+        ("--schedule", dict(default="1,10,100")),
+        ("--epsilon", dict(type=float, default=0.1)),
+        ("--window", dict(type=_at_least(0), default=24)),
+        ("--samples", dict(type=_at_least(0), default=40)),
+        *_SEED_FORMAT,
+    )),
+    ("ramsey", "monochromatic k-subset search", _cmd_ramsey, (_COLORING, _M, _K, _L, *_SEED_FORMAT)),
+    ("hindman", "monochromatic finite-union blocking search", _cmd_hindman, (_COLORING, _M, _L, *_SEED_FORMAT)),
+    ("milliken", "monochromatic coarsening-family search", _cmd_milliken, (
+        _COLORING,
+        ("--P", dict(required=True, help="blocking, or singletons:M")),
+        _K, _L,
+        ("--space", {}),
+        ("--coeffs", dict(default="1,1")),
+        ("--quantum", dict(type=float, default=0.05)),
+        *_SEED_FORMAT,
+    )),
+    ("stabilize-nccb", "coarsen until NCCB norms stabilize per net tuple", _cmd_stabilize_nccb, (
+        _SPACE, _M,
+        ("--epsilon", dict(type=float, default=0.1)),
+        ("--quantum", dict(type=float, default=0.05)),
+        ("--verify", dict(
+            action="store_true", help="color the class tuple of every coarsening of the result")),
+        *_NET_MAX_N,
+    )),
+    ("krivine-p", "growth-slope estimate of the Krivine exponent", _cmd_krivine_p, (
+        _SPACE,
+        ("--max-n", dict(type=int, default=16)),
+        ("--start", dict(type=_at_least(1), default=1)),
+        *_SEED_FORMAT,
+    )),
+    ("extract", "diagonal subsequence extraction with post-verification", _cmd_extract, (
+        _SPACE, *_SEQUENCE,
+        ("--target-len", dict(type=_at_least(1), default=None)),
+        *_NET_MAX_N,
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="banachkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"banachkit {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("norm", help="norm of a vector in a space")
-    sub.add_argument("--space", required=True)
-    sub.add_argument("--vector", required=True, help="e.g. '1:1,2:-0.5'")
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_norm)
-
-    sub = commands.add_parser("verify-example-space", help="sandwich bounds and type-p failure checks")
-    sub.add_argument("--p", type=float, default=2.0)
-    sub.add_argument("--ps", default="1,1.5,1.8")
-    sub.add_argument("--trials", type=int, default=1000)
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_verify_example_space)
-
-    sub = commands.add_parser("goodness", help="oscillation of combination norms over a window")
-    sub.add_argument("--space")
-    _add_sequence_args(sub)
-    sub.add_argument("--demo", choices=("interleave-oscillation",))
-    sub.add_argument("--epsilon", type=float, default=1e-6)
-    sub.add_argument("--horizon", type=_horizon, help="K,H window")
-    _add_common(sub)
-    sub.set_defaults(fn=_cmd_goodness)
-
-    sub = commands.add_parser("spreading", help="per-tuple limit estimates at horizons")
-    sub.add_argument("--space", required=True)
-    _add_sequence_args(sub)
-    sub.add_argument("--horizons", required=True, help="e.g. '1,3,68'")
-    sub.add_argument("--window", type=_at_least(0), default=None)
-    sub.add_argument("--fit-p", action="store_true")
-    _add_common(sub)
-    sub.set_defaults(fn=_cmd_spreading)
-
-    sub = commands.add_parser("equivalence", help="two-sided equivalence constant against lp(p,n)")
-    sub.add_argument("--space", required=True)
-    _add_sequence_args(sub)
-    sub.add_argument("--ref-p", default="2")
-    sub.add_argument("--ref-n", type=_at_least(1), default=None)
-    _add_common(sub, max_n=False)
-    sub.set_defaults(fn=_cmd_equivalence)
-
-    sub = commands.add_parser("game", help="run the subspace-vs-vector game")
-    sub.add_argument("--space", required=True)
-    sub.add_argument("--subspace", default="tail:1", help="constant:m or tail:lead")
-    sub.add_argument("--vector-player", default="unit", help="unit, nccb:width or net:window:pick")
-    sub.add_argument("--rounds", type=_at_least(0), default=4)
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_game)
-
-    sub = commands.add_parser("stabilized", help="sampled C(N,n) table over a cutoff schedule")
-    sub.add_argument("--space", required=True)
-    sub.add_argument("--p", default="2")
-    sub.add_argument("--n", type=_at_least(1), default=2)
-    sub.add_argument("--schedule", default="1,10,100")
-    sub.add_argument("--epsilon", type=float, default=0.1)
-    sub.add_argument("--window", type=_at_least(0), default=24)
-    sub.add_argument("--samples", type=_at_least(0), default=40)
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_stabilized)
-
-    sub = commands.add_parser("ramsey", help="monochromatic k-subset search")
-    sub.add_argument("--coloring", required=True)
-    sub.add_argument("--M", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--L", type=int, required=True)
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_ramsey)
-
-    sub = commands.add_parser("hindman", help="monochromatic finite-union blocking search")
-    sub.add_argument("--coloring", required=True)
-    sub.add_argument("--M", type=int, required=True)
-    sub.add_argument("--L", type=int, required=True)
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_hindman)
-
-    sub = commands.add_parser("milliken", help="monochromatic coarsening-family search")
-    sub.add_argument("--coloring", required=True)
-    sub.add_argument("--P", required=True, help="blocking, or singletons:M")
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--L", type=int, required=True)
-    sub.add_argument("--space")
-    sub.add_argument("--coeffs", default="1,1")
-    sub.add_argument("--quantum", type=float, default=0.05)
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_milliken)
-
-    sub = commands.add_parser("stabilize-nccb", help="coarsen until NCCB norms stabilize per net tuple")
-    sub.add_argument("--space", required=True)
-    sub.add_argument("--M", type=int, required=True)
-    sub.add_argument("--epsilon", type=float, default=0.1)
-    sub.add_argument("--quantum", type=float, default=0.05)
-    sub.add_argument(
-        "--verify", action="store_true", help="color the class tuple of every coarsening of the result"
-    )
-    _add_common(sub)
-    sub.set_defaults(fn=_cmd_stabilize_nccb)
-
-    sub = commands.add_parser("krivine-p", help="growth-slope estimate of the Krivine exponent")
-    sub.add_argument("--space", required=True)
-    sub.add_argument("--max-n", type=int, default=16)
-    sub.add_argument("--start", type=_at_least(1), default=1)
-    _add_common(sub, net=False)
-    sub.set_defaults(fn=_cmd_krivine_p)
-
-    sub = commands.add_parser("extract", help="diagonal subsequence extraction with post-verification")
-    sub.add_argument("--space", required=True)
-    _add_sequence_args(sub)
-    sub.add_argument("--target-len", type=_at_least(1), default=None)
-    _add_common(sub)
-    sub.set_defaults(fn=_cmd_extract)
-
+    for name, help_text, handler, options in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(fn=handler)
     return parser
 
 
