@@ -68,7 +68,7 @@ class UsageError(Exception):
 
 
 def _load_space(text: str):
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         doc = json.loads(text)
     else:
         with open(text, "r", encoding="utf-8") as handle:
@@ -76,12 +76,19 @@ def _load_space(text: str):
     return space_from_doc(doc)
 
 
+def _parse_list(text: str, kind, noun: str) -> list:
+    try:
+        return [kind(chunk) for chunk in text.split(",") if chunk.strip()]
+    except ValueError:
+        raise ValueError(f"expected comma-separated {noun}, got {text!r}") from None
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    return _parse_list(text, int, "integers")
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(chunk) for chunk in text.split(",") if chunk.strip()]
+    return _parse_list(text, float, "numbers")
 
 
 def _build_net(args) -> ScalarNet:

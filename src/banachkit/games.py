@@ -177,11 +177,15 @@ def strategy_from_name(text: str, role: str) -> Strategy:
             return subspace_tail(integer(param or "1"))
     else:
         if name == "unit":
+            if param:
+                raise ValueError(f"{role} strategy {text!r} takes no parameter")
             return vector_unit()
         if name == "nccb":
             return vector_nccb(integer(param or "2"))
         if name == "net":
             parts = [integer(x) for x in param.split(":") if x] if param else []
+            if len(parts) > 2:
+                raise ValueError(f"{role} strategy {text!r} takes at most two parameters")
             window = parts[0] if parts else 8
             pick = parts[1] if len(parts) > 1 else 0
             return vector_net(window=window, pick=pick)

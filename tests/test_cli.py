@@ -78,6 +78,11 @@ class TestNormCommand:
         code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    @pytest.mark.parametrize("space", ["[1,2]", " [1, 2]"])
+    def test_inline_json_that_is_not_an_object_is_read_as_json(self, space):
+        code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
+        assert (code, out, err) == (2, "", "config error: space document [1, 2] has no 'kind'\n")
+
     def test_nan_inner_exponent_is_usage_error(self):
         space = '{"kind":"lp_sum","p":2,"ps":[NaN],"ns":[3]}'
         code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
@@ -445,6 +450,14 @@ class TestAnalysisCommands:
                 ["game", "--space", LP2, "--vector-player", "nccb:two"],
                 "vector-player strategy 'nccb:two': parameter 'two' is not an integer",
             ),
+            (
+                ["game", "--space", LP2, "--vector-player", "unit:7"],
+                "vector-player strategy 'unit:7' takes no parameter",
+            ),
+            (
+                ["game", "--space", LP2, "--vector-player", "net:1:2:3"],
+                "vector-player strategy 'net:1:2:3' takes at most two parameters",
+            ),
             (["hindman", "--coloring", "constant:-1", "--M", "3", "--L", "2"], "constant color must be >= 0, got -1"),
             (
                 ["equivalence", "--space", LP2, "--blocking", "1|2|3", "--max-n", "2"],
@@ -500,6 +513,35 @@ class TestAnalysisCommands:
         argv = ["stabilized", "--space", LP2, "--n", "2", f"--schedule={schedule}", "--samples", "3"]
         code, out, err = run_cli(*argv)
         assert (code, out, err) == (2, "", f"config error: schedule cutoffs must be >= 1, got {low}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stabilized", "--space", LP2, "--schedule", "a"], "expected comma-separated integers, got 'a'"),
+            (
+                ["spreading", "--space", LP2, "--blocking", "1|2|3", "--horizons", "1,b"],
+                "expected comma-separated integers, got '1,b'",
+            ),
+            (["verify-example-space", "--ps", "1,x"], "expected comma-separated numbers, got '1,x'"),
+            (
+                [
+                    "milliken", "--coloring", "norm-quant", "--P", "singletons:4", "--k", "2", "--L", "2",
+                    "--space", LP2, "--coeffs", "1,y",
+                ],
+                "expected comma-separated numbers, got '1,y'",
+            ),
+        ],
+    )
+    def test_malformed_comma_list_is_usage_error(self, monkeypatch, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a malformed list")
+
+        for name in (
+            "asymptotic_lp_verdict", "spreading_model_estimate", "verify_example_space", "milliken_taylor_search",
+        ):
+            monkeypatch.setattr(cli, name, never)
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
 
     @pytest.mark.parametrize("ref_n, expected", [(None, 3), ("1", 1), ("2", 2)])
     def test_ref_n_is_used_as_given(self, ref_n, expected):

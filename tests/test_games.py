@@ -185,6 +185,18 @@ class TestPlay:
             strategy_from_name(text, role)
         assert str(info.value) == f"{role} strategy {text!r}: parameter {bad!r} is not an integer"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("unit:7", "vector-player strategy 'unit:7' takes no parameter"),
+            ("net:1:2:3", "vector-player strategy 'net:1:2:3' takes at most two parameters"),
+        ],
+    )
+    def test_parameter_the_strategy_does_not_take_is_refused(self, text, message):
+        with pytest.raises(ValueError) as info:
+            strategy_from_name(text, "vector-player")
+        assert str(info.value) == message
+
 
 class TestStabilizedConstant:
     def test_lp_is_isometric_at_every_cutoff(self):

@@ -27,9 +27,15 @@ run of the README tour (the default grid(0.25, 4) net over the window
 class tuple of positions instead of one per position tuple.  The CSV ramsey
 report, the first golden written through the key/value rows of a command
 that supplies no table of its own, was hashed before the package built its
-list of public names from the modules' own lists.
+list of public names from the modules' own lists.  The other eleven CSV
+reports ending in ``-csv`` (one per command that had none) and the parser
+surface (each subcommand's help and the argparse attributes of its
+options) were hashed before the subcommands' options moved from one block
+of ``add_argument`` calls each into one table.  ``tests/golden_hashes.py``
+checks all of them without pytest.
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -37,13 +43,14 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from banachkit.cli import main
+from banachkit.cli import build_parser, main
 
 EXAMPLE_SPACE = json.dumps(
     {"kind": "lp_sum", "p": 2.0, "ps": [1.0, 1.5, 1.8], "ns": [2, 65, 3**18 + 1]},
     separators=(",", ":"),
 )
 INTERLEAVE = '{"kind":"interleave","a":{"kind":"lp","p":1},"b":{"kind":"lp","p":2}}'
+LP2 = '{"kind":"lp","p":2}'
 INTERLEAVE_C0 = '{"kind":"interleave","a":{"kind":"lp","p":1},"b":{"kind":"c0"}}'
 
 GOLDEN = {
@@ -217,14 +224,106 @@ GOLDEN = {
         ["stabilized", "--space", '{"kind":"james"}', "--n", "2", "--schedule", "1,10,30", "--seed", "0"],
         "42d316a29d85c330800c185718626837d6f1fc612657b66cd1e3c517160cac3b",
     ),
+    "verify-example-space-csv": (
+        ["verify-example-space", "--trials", "200", "--seed", "0", "--format", "csv"],
+        "e658370d482b2f65b3d1b993627ff82eedfded041cec818b08088851b75fa9ab",
+    ),
+    "equivalence-csv": (
+        ["equivalence", "--space", LP2, "--blocking", "1|2,3|4", "--format", "csv"],
+        "4fe5873d6512cbbc44fee07edb2bc68380fdf898eb857048a2f92c9d48ac8c69",
+    ),
+    "game-csv": (
+        [
+            "game", "--space", '{"kind":"james"}', "--vector-player", "nccb:2", "--rounds", "3",
+            "--format", "csv",
+        ],
+        "4563332e1d7984158af47dcac16c7aab22b920e083e085bf6cd0e7077da50867",
+    ),
+    "hindman-csv": (
+        ["hindman", "--coloring", "min-parity", "--M", "8", "--L", "3", "--format", "csv"],
+        "d8588e4f514c9880bf155f7fe72ba0b86a57116024218dc97bd207e57d7b861e",
+    ),
+    "milliken-csv": (
+        [
+            "milliken", "--coloring", "first-min-parity", "--P", "singletons:8", "--k", "2", "--L", "3",
+            "--format", "csv",
+        ],
+        "91f58c2f1307b349bef55ed7c23e50b155d62aa45113a64cbecc26c44b4d257f",
+    ),
+    "stabilize-nccb-csv": (
+        [
+            "stabilize-nccb", "--space", LP2, "--M", "8", "--net-step", "0.5", "--max-n", "2", "--verify",
+            "--format", "csv",
+        ],
+        "fd65c11eb9872190ed2ed7edc1e1b3fde6c39208e15a50ce4fd96aacae00b717",
+    ),
+    "krivine-p-csv": (
+        ["krivine-p", "--space", '{"kind":"lp","p":1.5}', "--max-n", "8", "--format", "csv"],
+        "486518b66079b158f40b86042315383de779f8e403cef544f6a865b2931a6c3a",
+    ),
+    "extract-csv": (
+        [
+            "extract", "--space", LP2, "--blocking", "|".join(str(i) for i in range(1, 7)),
+            "--net-step", "1", "--max-n", "2", "--format", "csv",
+        ],
+        "425b11d96f41c13c51eb81480cb115e04a02739ee658a02baf1c333bad21b415",
+    ),
+    "norm-csv": (
+        ["norm", "--space", '{"kind":"james"}', "--vector", "1:1,3:-1", "--format", "csv"],
+        "59ca75576d1ef9a9f6e83a697a1ca361f3965091b736e54ad1ed4db8d3c1d33a",
+    ),
+    "goodness-csv": (
+        [
+            "goodness", "--space", LP2, "--blocking", "|".join(str(i) for i in range(1, 13)),
+            "--net-step", "0.5", "--max-n", "2", "--format", "csv",
+        ],
+        "d5bea561d248f685a38a866b408c1e9f58112f18260ab948db3cf687acac8255",
+    ),
+    "spreading-csv": (
+        [
+            "spreading", "--space", LP2, "--blocking", "|".join(str(i) for i in range(1, 21)),
+            "--horizons", "1,5", "--net-step", "0.5", "--max-n", "2", "--format", "csv",
+        ],
+        "7631f9674ba8d8a901e8110f04ce1ed1b760f7268c39e9dfe680450ebe772baf",
+    ),
 }
+
+
+PARSER_SURFACE = "961c52c59826d678002e0911c284f279a1a18f3ec079df5d26d63d85c2553932"
+
+
+def parser_surface() -> str:
+    """Each subcommand's help, then the argparse attributes of each of its actions.
+
+    Raw ``--help`` text is not hashed, since Python 3.13 lays it out differently.
+    """
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    lines = []
+    for name, sub in commands.choices.items():
+        lines.append(f"{name}: {helps[name]}")
+        for a in sub._actions:
+            kind = getattr(a.type, "__qualname__", repr(a.type))
+            fields = (
+                type(a).__name__, a.option_strings, a.dest, repr(a.default), kind,
+                a.required, a.choices, a.help, a.nargs, a.const,
+            )
+            lines.append(repr(fields))
+    return "\n".join(lines) + "\n"
+
+
+def report_digest(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes(name):
     argv, digest = GOLDEN[name]
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(argv)
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert report_digest(argv) == (0, digest)
+
+
+def test_parser_surface():
+    assert hashlib.sha256(parser_surface().encode()).hexdigest() == PARSER_SURFACE
