@@ -91,6 +91,16 @@ def _parse_floats(text: str) -> list[float]:
     return _parse_list(text, float, "numbers")
 
 
+def _convert(kind, raw: str, expected: str, text: str | None = None):
+    """``kind(raw)``; if that fails, a usage error saying what was expected
+    and which option text (``raw`` unless given) did not give it."""
+    try:
+        return kind(raw)
+    except ValueError:
+        shown = raw if text is None else text
+        raise UsageError(f"{expected}, got {shown!r}") from None
+
+
 def _build_net(args) -> ScalarNet:
     return ScalarNet.grid(step=args.net_step, max_len=args.max_n)
 
@@ -118,7 +128,8 @@ def _coloring_from_args(args, kind: str, ground: int, spec=None, arity: int | No
             fn=lambda E: sum(E.elements) % 2, name="sum-parity",
         )
     if name == "constant":
-        return constant_coloring(ground, int(param or 0), kind=kind, arity=arity)
+        color = _convert(int, param or "0", "--coloring constant:v needs an integer v", text)
+        return constant_coloring(ground, color, kind=kind, arity=arity)
     if name == "first-min-parity" and kind == "blocking":
         return Coloring(
             kind="blocking", colors=2, ground=ground, arity=arity,
@@ -139,26 +150,35 @@ def _coloring_from_args(args, kind: str, ground: int, spec=None, arity: int | No
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, result: dict, rows: list[list] | None = None) -> None:
+def _emit(args, report, rows: list[list] | None = None) -> None:
+    """Write ``report`` in ``args.format``, building only what that format prints.
+
+    ``report`` is a result dict, written as CSV through ``rows`` when given
+    and as key/value rows otherwise, or a report whose ``to_doc`` gives the
+    result and whose ``to_rows`` gives the CSV table.
+    """
     command = args.command
     # every option of the parsed subcommand, keyed by its option name
     config = {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("command", "fn")}
-    envelope = {
-        "tool": "banachkit",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "result": result,
-    }
     if args.format == "json":
+        envelope = {
+            "tool": "banachkit",
+            "version": __version__,
+            "command": command,
+            "config": config,
+            "result": report if isinstance(report, dict) else report.to_doc(),
+        }
         sys.stdout.write(json.dumps(envelope, sort_keys=True, allow_nan=False))
         sys.stdout.write("\n")
     else:
         sys.stdout.write(f"# banachkit {__version__} {command}\n")
         sys.stdout.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        if isinstance(report, dict):
+            table = rows if rows is not None else _flatten_rows(report)
+        else:
+            table = report.to_rows()
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        table = rows if rows is not None else _flatten_rows(result)
         for row in table:
             writer.writerow(row)
         sys.stdout.write(buffer.getvalue())
@@ -228,7 +248,7 @@ def _cmd_goodness(args) -> int:
         net = _build_net(args)
     K, H = (args.horizon if args.horizon else (1, None))
     report = goodness_test(spec, seq, net, K=K, H=H, epsilon=args.epsilon)
-    _emit(args, report.to_doc(), rows=report.to_rows())
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -240,7 +260,7 @@ def _cmd_spreading(args) -> int:
     report = spreading_model_estimate(
         spec, seq, net, horizons, H=args.window, fit_reference_p=args.fit_p
     )
-    _emit(args, report.to_doc(), rows=report.to_rows())
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -248,9 +268,8 @@ def _cmd_equivalence(args) -> int:
     spec = _load_space(args.space)
     seq = _sequence_from_args(spec, args)
     n = len(seq) if args.ref_n is None else args.ref_n
-    report = equivalence_constant(
-        spec, seq, LpReference(float(args.ref_p), n), net_step=args.net_step
-    )
+    ref_p = _convert(float, args.ref_p, "--ref-p needs a number")
+    report = equivalence_constant(spec, seq, LpReference(ref_p, n), net_step=args.net_step)
     _emit(args, report.to_doc())
     return EXIT_OK
 
@@ -269,7 +288,7 @@ def _cmd_stabilized(args) -> int:
     schedule = _parse_ints(args.schedule)
     verdict = asymptotic_lp_verdict(
         spec,
-        p=float(args.p),
+        p=_convert(float, args.p, "--p needs a number"),
         n=args.n,
         schedule=schedule,
         epsilon=args.epsilon,
@@ -277,7 +296,7 @@ def _cmd_stabilized(args) -> int:
         seed=args.seed,
         samples=args.samples,
     )
-    _emit(args, verdict.to_doc(), rows=verdict.to_rows())
+    _emit(args, verdict)
     return EXIT_OK
 
 
@@ -302,7 +321,8 @@ def _cmd_hindman(args) -> int:
 def _cmd_milliken(args) -> int:
     spec = _load_space(args.space) if args.space else None
     if args.P.startswith("singletons:"):
-        P = Blocking.singletons(int(args.P.split(":", 1)[1]))
+        M = _convert(int, args.P[len("singletons:"):], "--P singletons:M needs an integer M", args.P)
+        P = Blocking.singletons(M)
     else:
         P = Blocking.parse(args.P)
     if not len(P):
@@ -484,20 +504,34 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``banachkit`` parser, declaring the options of ``command`` only,
+    or of every command when ``command`` is None.
+
+    Every subcommand is added with its help either way, so the top-level
+    usage and ``--help`` do not depend on ``command``.
+    """
     parser = argparse.ArgumentParser(prog="banachkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"banachkit {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, options in _COMMANDS:
         sub = commands.add_parser(name, help=help_text)
-        for flag, kwargs in options:
-            sub.add_argument(flag, **kwargs)
+        if command in (None, name):
+            for flag, kwargs in options:
+                sub.add_argument(flag, **kwargs)
         sub.set_defaults(fn=handler)
     return parser
 
 
+_COMMAND_NAMES = frozenset(name for name, _, _, _ in _COMMANDS)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so a command name
+    # in first place is the command argparse dispatches to, and the other
+    # subparsers never read their options.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

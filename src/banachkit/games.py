@@ -183,11 +183,14 @@ def strategy_from_name(text: str, role: str) -> Strategy:
         if name == "nccb":
             return vector_nccb(integer(param or "2"))
         if name == "net":
-            parts = [integer(x) for x in param.split(":") if x] if param else []
+            # parameters are read by position, so an empty slot is refused, not skipped
+            parts = param.split(":") if param else []
             if len(parts) > 2:
                 raise ValueError(f"{role} strategy {text!r} takes at most two parameters")
-            window = parts[0] if parts else 8
-            pick = parts[1] if len(parts) > 1 else 0
+            if "" in parts:
+                raise ValueError(f"{role} strategy {text!r} has an empty parameter")
+            window = integer(parts[0]) if parts else 8
+            pick = integer(parts[1]) if len(parts) > 1 else 0
             return vector_net(window=window, pick=pick)
     raise ValueError(f"unknown {role} strategy {text!r}")
 

@@ -626,11 +626,7 @@ def space_from_doc(doc: dict) -> SpaceSpec:
         if kind == "lp_sum":
             return LpSum(p=float(doc["p"]), ps=tuple(doc["ps"]), ns=tuple(doc["ns"]))
         if kind == "interleave":
-            return Interleave(
-                a=space_from_doc(doc["a"]),
-                b=space_from_doc(doc["b"]),
-                outer=doc.get("outer", "max"),
-            )
+            return Interleave(a=_part(doc, "a"), b=_part(doc, "b"), outer=doc.get("outer", "max"))
     except KeyError as exc:
         raise InvalidSpecError(f"{kind} space document has no {exc.args[0]!r}") from exc
     except TypeError as exc:
@@ -638,3 +634,14 @@ def space_from_doc(doc: dict) -> SpaceSpec:
     if kind == "james":
         return James()
     raise InvalidSpecError(f"unknown space kind {kind!r}")
+
+
+def _part(doc: dict, field: str) -> SpaceSpec:
+    """The space in field ``field`` of an interleave document; a part that is
+    not a space document is refused naming the interleave and the field."""
+    part = doc[field]
+    if not isinstance(part, dict) or "kind" not in part:
+        raise InvalidSpecError(
+            f"interleave space document field {field!r}: space document {part!r} has no 'kind'"
+        )
+    return space_from_doc(part)

@@ -4,8 +4,10 @@ Usage: python tests/golden_hashes.py
 
 Runs each invocation of ``test_golden.GOLDEN`` through ``banachkit.cli.main``
 from this checkout's ``src`` and compares the sha256 of its output, then
-hashes the parser surface.  Prints one line per mismatch and exits 1 if
-there is any, else exits 0.  Needs only the standard library, so it can
+hashes the parser surface, then runs each of ``test_golden.parser_cases()``
+through ``main`` and through a ``main`` that parses with the full
+``build_parser()``, and compares exit code, stdout and stderr.  Prints one
+line per mismatch and exits 1 if there is any, else exits 0.  Needs only the standard library, so it can
 check interpreters that have no pytest installed.  pytest does not collect
 this file, since its name does not start with ``test_``.
 """
@@ -37,9 +39,15 @@ def main() -> int:
     surface = hashlib.sha256(test_golden.parser_surface().encode()).hexdigest()
     if surface != test_golden.PARSER_SURFACE:
         failures.append(f"parser surface: sha256 {surface}, expected {test_golden.PARSER_SURFACE}")
+    hash_failures = len(failures)
+    cases = test_golden.parser_cases()
+    for argv in cases:
+        if test_golden.run_main(argv) != test_golden.run_main(argv, full_parser=True):
+            failures.append(f"parser case {argv}: main differs from the full parser")
     for line in failures:
         print(line)
-    print(f"{len(test_golden.GOLDEN) + 1 - len(failures)} of {len(test_golden.GOLDEN) + 1} hashes match "
+    print(f"{len(test_golden.GOLDEN) + 1 - hash_failures} of {len(test_golden.GOLDEN) + 1} hashes match, "
+          f"{len(cases) + hash_failures - len(failures)} of {len(cases)} parser cases agree "
           f"on Python {sys.version.split()[0]}")
     return 1 if failures else 0
 

@@ -11,7 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from banachkit import cli, games
-from banachkit.analysis import krivine_p_estimate
+from banachkit.analysis import GoodnessReport, SpreadingEstimate, krivine_p_estimate
+from banachkit.games import AsymptoticVerdict
 from banachkit.cli import main
 
 
@@ -72,6 +73,14 @@ class TestNormCommand:
             ('{"kind":"lp_sum","p":2,"ps":[1]}', "lp_sum space document has no 'ns'"),
             ('{"kind":"interleave","a":{"kind":"c0"}}', "interleave space document has no 'b'"),
             ('{"kind":"interleave","a":{"kind":"lp"},"b":{"kind":"c0"}}', "lp space document has no 'p'"),
+            (
+                '{"kind":"interleave","a":{"kind":"lp","p":2},"b":3}',
+                "interleave space document field 'b': space document 3 has no 'kind'",
+            ),
+            (
+                '{"kind":"interleave","a":{"p":1},"b":{"kind":"c0"}}',
+                "interleave space document field 'a': space document {'p': 1} has no 'kind'",
+            ),
             # inline JSON that is not an object is read as JSON, not as a file path
             ("[1,2]", "space document [1, 2] has no 'kind'"),
             (" [1, 2]", "space document [1, 2] has no 'kind'"),
@@ -456,6 +465,26 @@ class TestAnalysisCommands:
                 ["game", "--space", LP2, "--vector-player", "net:1:2:3"],
                 "vector-player strategy 'net:1:2:3' takes at most two parameters",
             ),
+            (
+                ["game", "--space", LP2, "--vector-player", "net::3"],
+                "config error: vector-player strategy 'net::3' has an empty parameter\n",
+            ),
+            (
+                ["equivalence", "--space", LP2, "--blocking", "1|2", "--ref-p", "x"],
+                "usage error: --ref-p needs a number, got 'x'\n",
+            ),
+            (
+                ["stabilized", "--space", LP2, "--p", "x"],
+                "usage error: --p needs a number, got 'x'\n",
+            ),
+            (
+                ["hindman", "--coloring", "constant:x", "--M", "3", "--L", "2"],
+                "usage error: --coloring constant:v needs an integer v, got 'constant:x'\n",
+            ),
+            (
+                ["milliken", "--coloring", "constant", "--P", "singletons:x", "--k", "2", "--L", "2"],
+                "usage error: --P singletons:M needs an integer M, got 'singletons:x'\n",
+            ),
             (["hindman", "--coloring", "constant:-1", "--M", "3", "--L", "2"], "constant color must be >= 0, got -1"),
             (["stabilized", "--space", LP2, "--schedule", "a"], "config error: expected comma-separated integers, got 'a'\n"),
             (
@@ -595,6 +624,33 @@ class TestOutputContracts:
         assert lines[1].startswith("# config:")
         assert lines[2].split(",")[:3] == ["coeffs", "K", "H"]
         assert len(lines) > 3
+
+    @pytest.mark.parametrize(
+        "argv, report_class",
+        [
+            (["goodness", "--space", LP2, "--blocking", "1|2|3|4", "--net-step", "1"], GoodnessReport),
+            (["spreading", "--space", LP2, "--blocking", "1|2|3|4", "--horizons", "1,2"], SpreadingEstimate),
+            (["stabilized", "--space", LP2, "--schedule", "1,3", "--samples", "2"], AsymptoticVerdict),
+        ],
+    )
+    @pytest.mark.parametrize("fmt, unused", [("json", "to_rows"), ("csv", "to_doc")])
+    def test_report_builds_only_the_format_it_prints(self, monkeypatch, argv, report_class, fmt, unused):
+        calls = []
+        monkeypatch.setattr(report_class, unused, lambda self: calls.append(self))
+        code, out, err = run_cli(*argv, "--format", fmt)
+        assert (code, err, calls) == (0, "", [])
+        assert out
+
+    def test_main_declares_only_the_invoked_commands_options(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(real(command)) or built[-1])
+        run_cli("norm", "--space", LP2, "--vector", "1:1")
+        (commands,) = [a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {name: [a.dest for a in sub._actions] for name, sub in commands.choices.items()}
+        assert declared.pop("norm") == ["help", "space", "vector", "seed", "format"]
+        assert len(declared) == 12
+        assert all(dests == ["help"] for dests in declared.values())
 
     def test_json_reports_refuse_nan(self):
         args = argparse.Namespace(command="norm", format="json")

@@ -168,6 +168,7 @@ class TestPlay:
         assert strategy_from_name("unit", "vector-player").name == "unit"
         assert strategy_from_name("nccb:3", "vector-player").name == "nccb:3"
         assert strategy_from_name("net:6:2", "vector-player").name == "net:6:2"
+        assert strategy_from_name("net", "vector-player").name == "net:8:0"
         with pytest.raises(ValueError):
             strategy_from_name("alphabeta", "vector-player")
 
@@ -190,6 +191,10 @@ class TestPlay:
         [
             ("unit:7", "vector-player strategy 'unit:7' takes no parameter"),
             ("net:1:2:3", "vector-player strategy 'net:1:2:3' takes at most two parameters"),
+            # parameters are positional: the 3 of net::3 is the pick, not the window
+            ("net::3", "vector-player strategy 'net::3' has an empty parameter"),
+            ("net:3:", "vector-player strategy 'net:3:' has an empty parameter"),
+            ("net::", "vector-player strategy 'net::' has an empty parameter"),
         ],
     )
     def test_parameter_the_strategy_does_not_take_is_refused(self, text, message):

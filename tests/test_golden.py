@@ -31,18 +31,22 @@ list of public names from the modules' own lists.  The other eleven CSV
 reports ending in ``-csv`` (one per command that had none) and the parser
 surface (each subcommand's help and the argparse attributes of its
 options) were hashed before the subcommands' options moved from one block
-of ``add_argument`` calls each into one table.  ``tests/golden_hashes.py``
-checks all of them without pytest.
+of ``add_argument`` calls each into one table.  ``main`` declares only the
+invoked command's options, so ``parser_cases`` runs five argument lists per
+command through ``main`` and through the full ``build_parser()``, which must
+agree in exit code, stdout and stderr.  ``tests/golden_hashes.py`` checks all
+of them without pytest.
 """
 
 import argparse
 import hashlib
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from banachkit import cli
 from banachkit.cli import build_parser, main
 
 EXAMPLE_SPACE = json.dumps(
@@ -312,11 +316,66 @@ def parser_surface() -> str:
     return "\n".join(lines) + "\n"
 
 
+# One out-of-domain option value per subcommand
+OUT_OF_DOMAIN = {
+    "norm": ["--format", "xml"],
+    "verify-example-space": ["--trials", "x"],
+    "goodness": ["--horizon", "0,2"],
+    "spreading": ["--window", "-1"],
+    "equivalence": ["--ref-n", "0"],
+    "game": ["--rounds", "-1"],
+    "stabilized": ["--n", "0"],
+    "ramsey": ["--M", "x"],
+    "hindman": ["--L", "x"],
+    "milliken": ["--quantum", "x"],
+    "stabilize-nccb": ["--net-step", "0"],
+    "krivine-p": ["--start", "0"],
+    "extract": ["--target-len", "0"],
+}
+
+
+def parser_cases() -> list[list[str]]:
+    """Five argument lists per subcommand: its CSV golden, ``--help``, the
+    golden with an unknown option, the golden without its first required
+    option (or, for a subcommand with none, with an option lacking its
+    value), and the golden with an out-of-domain value."""
+    cases = []
+    for name, _, _, options in cli._COMMANDS:
+        golden = GOLDEN[f"{name}-csv"][0]
+        required = next((flag for flag, kwargs in options if kwargs.get("required")), None)
+        if required is None:
+            missing = [*golden, "--seed"]
+        else:
+            at = golden.index(required)
+            missing = golden[:at] + golden[at + 2:]
+        cases += [
+            golden,
+            [name, "--help"],
+            [*golden, "--no-such-option"],
+            missing,
+            [*golden, *OUT_OF_DOMAIN[name]],
+        ]
+    return cases
+
+
+def run_main(argv: list[str], full_parser: bool = False) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``; with ``full_parser``,
+    ``main`` parses with ``build_parser()``, which declares every command's options."""
+    out, err = io.StringIO(), io.StringIO()
+    real = cli.build_parser
+    if full_parser:
+        cli.build_parser = lambda command=None: real()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        cli.build_parser = real
+    return code, out.getvalue(), err.getvalue()
+
+
 def report_digest(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    code, out, _ = run_main(argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -327,3 +386,8 @@ def test_report_bytes(name):
 
 def test_parser_surface():
     assert hashlib.sha256(parser_surface().encode()).hexdigest() == PARSER_SURFACE
+
+
+@pytest.mark.parametrize("argv", parser_cases(), ids=" ".join)
+def test_main_parses_as_the_full_parser_does(argv):
+    assert run_main(argv) == run_main(argv, full_parser=True)
