@@ -928,49 +928,82 @@ class ExampleSpaceReport(_Report):
     vacuous: bool
 
 
-def _draw_block_tuple(
-    spec: LpSum, rng: Random, max_n: int, max_block: int, constant_coefficients: bool
-) -> tuple[list[list[tuple[int, float]]], list[list[tuple[int, float]]]]:
-    """Random normalized block tuple in an LpSum, biased toward segment joints.
-
-    Returns, per block, its normalized ``(index, coeff)`` pairs and the same
-    coefficients keyed for ``spec.coordinate_norm``.  A block is scaled by
-    the float operations of ``SparseVector.scale`` (the products, dropped
-    zeros and rejected non-finite values), so the pairs are the entries of
-    the vectors ``random_block_tuple`` returns.
-    """
-    n = rng.randint(1, max_n)
+def _block_tuple_frames(spec: LpSum, max_n: int, max_block: int) -> list[tuple[list[int], int]]:
+    """Per tuple length n = 1..max_n, the anchors a draw may start near and
+    the span of its uniform start; they depend only on the space and n."""
+    if max_n < 1 or max_block < 1:
+        raise ValueError(f"max_n and max_block must be >= 1, got {max_n} and {max_block}")
     total = spec.total_dim
     joints = [1] + [hi + 1 for _, hi in (spec.segment_range(s) for s in range(1, len(spec.ns)))]
-    budget = n * (max_block + 10) + 5
-    anchors = [j for j in joints if j + budget <= total] or [1]
-    if rng.random() < 0.5:
-        cursor = rng.choice(anchors)
-        cursor = max(1, cursor - rng.randint(0, 3))
+    frames = []
+    for n in range(1, max_n + 1):
+        budget = n * (max_block + 10) + 5
+        anchors = [j for j in joints if j + budget <= total] or [1]
+        frames.append((anchors, max(1, total - budget)))
+    return frames
+
+
+def _draw_block_tuple(
+    spec: LpSum, rng: Random, frames: list[tuple[list[int], int]], max_block: int, constant_coefficients: bool
+) -> tuple[list[list[int]], list[list[tuple[int, float]]]]:
+    """Random normalized block tuple in an LpSum, biased toward segment joints.
+
+    Returns, per block, its support and its normalized coefficients keyed
+    for ``spec.coordinate_norm``.  A block is scaled by the float operations
+    of ``SparseVector.scale`` (the products, dropped zeros and rejected
+    non-finite values), so supports and coefficients are the entries of the
+    vectors ``random_block_tuple`` returns.  ``frames`` is
+    ``_block_tuple_frames(spec, max_n, max_block)``.
+
+    The draw makes, in the same order, the calls on ``rng._randbelow`` and
+    ``rng.random`` that ``randint``, ``choice``, ``uniform`` and ``sample``
+    make.  Python documents only ``random()`` as reproducible across
+    versions, so drawing through the public methods tied the tuples to
+    their code just the same; ``tests/golden_hashes.py`` checks the draw
+    against them on each interpreter.  In CPython 3.10 to 3.13, ``randint(a, b)`` is
+    ``a + _randbelow(b - a + 1)``, ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]`` and ``uniform(a, b)`` is
+    ``a + (b - a) * random()``.  ``sample(range(c, c + m), k)`` with
+    m = k + 6 always takes sample's pool branch, since its set size is 21
+    for k <= 5 and at least 21 + 3k above, and the window loop below is
+    that branch.  Calling the bound ``_randbelow`` keeps this exact for
+    any subclass of ``Random``, including one that overrides only
+    ``random()``.
+    """
+    below, random = rng._randbelow, rng.random
+    n = 1 + below(len(frames))
+    anchors, span = frames[n - 1]
+    if random() < 0.5:
+        cursor = max(1, anchors[below(len(anchors))] - below(4))
     else:
-        cursor = rng.randint(1, max(1, total - budget))
-    pairs = []
+        cursor = 1 + below(span)
+    supports = []
     parts = []
     for _ in range(n):
-        size = rng.randint(1, max_block)
-        window = sorted(rng.sample(range(cursor, cursor + size + 6), size))
+        size = 1 + below(max_block)
+        m = size + 6
+        pool = list(range(cursor, cursor + m))
+        window = []
+        for i in range(size):
+            j = below(m - i)
+            window.append(pool[j])
+            pool[j] = pool[m - i - 1]
+        window.sort()
         if constant_coefficients:
             coeffs = [1.0] * size
         else:
-            coeffs = [rng.uniform(-1.0, 1.0) or 0.5 for _ in window]
+            coeffs = [-1.0 + 2.0 * random() or 0.5 for _ in window]
         keys = spec.segment_keys(window)
         factor = 1.0 / spec.coordinate_norm(list(zip(keys, coeffs)))
-        block = []
-        part = []
-        for i, key, c in zip(window, keys, coeffs):
-            x = factor * c
-            if x != 0.0 and (-math.inf < x < math.inf or _reject_coefficient(x)):
-                block.append((i, x))
-                part.append((key, x))
-        pairs.append(block)
+        part = [
+            (key, x)
+            for key, c in zip(keys, coeffs)
+            if (x := factor * c) != 0.0 and (-math.inf < x < math.inf or _reject_coefficient(x))
+        ]
+        supports.append(window if len(part) == size else [i for i, c in zip(window, coeffs) if factor * c])
         parts.append(part)
-        cursor = window[-1] + 1 + rng.randint(0, 4)
-    return pairs, parts
+        cursor = window[-1] + 1 + below(5)
+    return supports, parts
 
 
 def _block_tuple_reach(max_n: int, max_block: int) -> int:
@@ -994,8 +1027,11 @@ def random_block_tuple(
     constant_coefficients: bool = False,
 ) -> BlockSequence:
     """Random normalized block tuple in an LpSum, biased toward segment joints."""
-    pairs, _ = _draw_block_tuple(spec, rng, max_n, max_block, constant_coefficients)
-    return BlockSequence([SparseVector(block) for block in pairs])
+    frames = _block_tuple_frames(spec, max_n, max_block)
+    supports, parts = _draw_block_tuple(spec, rng, frames, max_block, constant_coefficients)
+    return BlockSequence(
+        [SparseVector(zip(support, [x for _, x in part])) for support, part in zip(supports, parts)]
+    )
 
 
 def verify_example_space(
@@ -1029,21 +1065,27 @@ def verify_example_space(
             f"block tuples, which reach index {reach}"
         )
     rng = Random(seed)
+    random = rng.random
+    frames = _block_tuple_frames(spec, max_n, max_block)
+    p, ps = spec.p, spec.ps
     failures: list[dict] = []
     for _ in range(trials):
-        pairs, parts = _draw_block_tuple(spec, rng, max_n, max_block, False)
+        supports, parts = _draw_block_tuple(spec, rng, frames, max_block, False)
         n = len(parts)
-        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        coeffs = [-1.0 + 2.0 * random() for _ in range(n)]  # uniform(-1.0, 1.0)
         value = combination_norm(spec, coeffs, parts)
-        power_sum = _sum_left(abs(a) ** spec.p for a in coeffs)
+        power_sum = _sum_left(abs(a) ** p for a in coeffs)
         s0 = parts[0][0][0] + 1
-        cap = n ** (spec.p / spec.ps[s0 - 1] - 1.0) * power_sum
-        mid = value ** spec.p
+        cap = n ** (p / ps[s0 - 1] - 1.0) * power_sum
+        mid = value ** p
         if not (power_sum <= mid + tol and mid <= cap + tol):
             failures.append(
                 {
-                    "blocks": [[i for i, _ in block] for block in pairs],
-                    "vectors": [[[i, c] for i, c in block] for block in pairs],
+                    "blocks": supports,
+                    "vectors": [
+                        [[i, x] for i, (_, x) in zip(support, part)]
+                        for support, part in zip(supports, parts)
+                    ],
                     "coeffs": coeffs,
                     "norm": value,
                     "lower": power_sum,

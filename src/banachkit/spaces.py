@@ -342,10 +342,16 @@ class LpSum(_Space):
 
     def segment_keys(self, indices: Sequence[int]) -> list[int]:
         """The coordinate keys of the increasing positive ``indices``; raises past the segments."""
-        if indices and indices[-1] > self.total_dim:
+        if not indices:
+            return []
+        if indices[-1] > self.total_dim:
             # segment_of raises for the first index past the segments
             self.segment_of(next(i for i in indices if i > self.total_dim))
         cumulative = self._cumulative
+        s = bisect_left(cumulative, indices[0])
+        if indices[-1] <= cumulative[s]:
+            # increasing indices between the first one and segment s's end
+            return [s] * len(indices)
         return [bisect_left(cumulative, i) for i in indices]
 
     def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
@@ -544,6 +550,12 @@ def segment_of(spec: LpSum, index: int) -> SegmentIndex:
     return spec.segment_of(index)
 
 
+def _type_exponent(p: float, p_s: float) -> Fraction:
+    """p*p_s / (p - p_s) for p_s < p, exact from the decimal text of the inputs."""
+    p, p_s = Fraction(str(p)), Fraction(str(p_s))
+    return p * p_s / (p - p_s)
+
+
 def _example_dimension(p: float, p_s: float, s: int) -> int:
     """Least integer strictly greater than s^(p*p_s / (p - p_s)).
 
@@ -551,9 +563,7 @@ def _example_dimension(p: float, p_s: float, s: int) -> int:
     the inputs, so integer exponents (the usual case in experiments) give
     exact integer thresholds instead of float-rounded ones.
     """
-    exponent = (
-        Fraction(str(p)) * Fraction(str(p_s)) / (Fraction(str(p)) - Fraction(str(p_s)))
-    )
+    exponent = _type_exponent(p, p_s)
     if exponent.denominator == 1:
         return s ** int(exponent) + 1
     return math.floor(s ** float(exponent)) + 1
@@ -565,7 +575,8 @@ def make_example_space(p: float, num_segments: int, ps: Iterable[float]) -> LpSu
     Requires 1 < p <= 2 and inner exponents strictly increasing inside
     [1, p).  Segment ``s`` gets dimension n_s = least integer exceeding
     s^(p*p_s/(p-p_s)), which makes ``type_p_witness`` true at C = s for
-    every segment.
+    every segment.  Where that exponent is an integer, n_s and the witness
+    are both computed in integers, so there it holds exactly.
     """
     p = float(p)
     if not (1.0 < p <= 2.0):
@@ -585,14 +596,22 @@ def type_p_witness(spec: LpSum, s: int, C: float) -> bool:
     """True iff segment ``s`` defeats the type-p inequality at constant ``C``.
 
     The inequality compares the two norms of the all-ones vector on segment
-    s: it fails exactly when n_s^{1/p_s} > C * n_s^{1/p}.
+    s: it fails exactly when n_s^{1/p_s} > C * n_s^{1/p}, that is, for
+    p_s < p and C > 0, when n_s > C^e with e = p*p_s/(p - p_s).  As in
+    ``make_example_space``, e is read as a rational from the decimal text;
+    when e and C are integers the comparison is made in integers, else in
+    floats.
     """
     if not isinstance(spec, LpSum):
         raise InvalidSpecError("type_p_witness requires an LpSum spec")
     if s < 1 or s > len(spec.ns):
         raise InvalidSpecError(f"segment {s} does not exist")
-    n_s = spec.ns[s - 1]
-    return n_s ** (1.0 / spec.ps[s - 1]) > C * n_s ** (1.0 / spec.p)
+    n_s, p_s = spec.ns[s - 1], spec.ps[s - 1]
+    if p_s < spec.p and C > 0 and float(C).is_integer():
+        exponent = _type_exponent(spec.p, p_s)
+        if exponent.denominator == 1:
+            return n_s > int(C) ** int(exponent)
+    return n_s ** (1.0 / p_s) > C * n_s ** (1.0 / spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +631,29 @@ def _p_doc(p: float | None) -> float | str | None:
     return "inf" if p == INF else p
 
 
+# The fields a space document of each kind may carry besides "kind".
+_DOC_FIELDS = {
+    "lp": ("p",),
+    "c0": (),
+    "lp_sum": ("p", "ps", "ns"),
+    "interleave": ("a", "b", "outer"),
+    "james": (),
+}
+
+
 def space_from_doc(doc: dict) -> SpaceSpec:
-    """Inverse of ``spec.to_doc()``; round-trips exactly."""
+    """Inverse of ``spec.to_doc()``; round-trips exactly.  A field the kind
+    does not have is refused rather than ignored."""
     try:
         kind = doc["kind"]
     except (TypeError, KeyError) as exc:
         raise InvalidSpecError(f"space document {doc!r} has no 'kind'") from exc
+    fields = _DOC_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise InvalidSpecError(f"unknown space kind {kind!r}")
+    for name in doc:
+        if name != "kind" and name not in fields:
+            raise InvalidSpecError(f"{kind} space document has an unknown field {name!r}")
     try:
         if kind == "lp":
             return Lp(p=_parse_p(doc["p"]))
@@ -631,9 +667,7 @@ def space_from_doc(doc: dict) -> SpaceSpec:
         raise InvalidSpecError(f"{kind} space document has no {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise InvalidSpecError(f"{kind} space document has a field of the wrong type: {exc}") from exc
-    if kind == "james":
-        return James()
-    raise InvalidSpecError(f"unknown space kind {kind!r}")
+    return James()  # the one kind left
 
 
 def _part(doc: dict, field: str) -> SpaceSpec:

@@ -6,16 +6,22 @@ Runs each invocation of ``test_golden.GOLDEN`` through ``banachkit.cli.main``
 from this checkout's ``src`` and compares the sha256 of its output, then
 hashes the parser surface, then runs each of ``test_golden.parser_cases()``
 through ``main`` and through a ``main`` that parses with the full
-``build_parser()``, and compares exit code, stdout and stderr.  Prints one
-line per mismatch and exits 1 if there is any, else exits 0.  Needs only the standard library, so it can
-check interpreters that have no pytest installed.  pytest does not collect
-this file, since its name does not start with ``test_``.
+``build_parser()``, and compares exit code, stdout and stderr.  Then
+compares ``random_block_tuple`` with the public-``Random``-method oracle of
+``draw_oracle`` (vectors and generator state) at a few seeds and shapes,
+for ``Random`` and for a subclass that overrides only ``random()``, which
+checks on each interpreter that the draw makes the calls those methods
+make.  Prints one line per mismatch and exits 1 if there is any, else
+exits 0.  Needs only the standard library, so it can check interpreters
+that have no pytest installed.  pytest does not collect this file, since
+its name does not start with ``test_``.
 """
 
 import hashlib
 import sys
 import types
 from pathlib import Path
+from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -28,6 +34,12 @@ except ImportError:
     sys.modules["pytest"] = stub
 
 import test_golden  # noqa: E402
+from banachkit.spaces import make_example_space  # noqa: E402
+from draw_oracle import RandomOverridingRandom, draw_mismatches  # noqa: E402
+
+# (seed, max_n, max_block, constant_coefficients) for the draw differential;
+# max_block 30 draws samples whose set size exceeds the default shape's
+DRAW_SHAPES = [(0, 4, 5, False), (1, 2, 30, False), (7, 5, 12, True), (42, 3, 25, False)]
 
 
 def main() -> int:
@@ -44,10 +56,24 @@ def main() -> int:
     for argv in cases:
         if test_golden.run_main(argv) != test_golden.run_main(argv, full_parser=True):
             failures.append(f"parser case {argv}: main differs from the full parser")
+    parser_failures = len(failures)
+    spaces = [make_example_space(2.0, 3, [1.0, 1.5, 1.8]), make_example_space(1.5, 2, [1.0, 1.2])]
+    draw_cases = [
+        (spec, *shape, rng_class)
+        for spec in spaces
+        for shape in DRAW_SHAPES
+        for rng_class in (Random, RandomOverridingRandom)
+    ]
+    draw_agree = 0
+    for spec, seed, max_n, max_block, constant, rng_class in draw_cases:
+        mismatches = draw_mismatches(spec, seed, max_n, max_block, constant, rng_class)
+        failures += mismatches
+        draw_agree += not mismatches
     for line in failures:
         print(line)
     print(f"{len(test_golden.GOLDEN) + 1 - hash_failures} of {len(test_golden.GOLDEN) + 1} hashes match, "
-          f"{len(cases) + hash_failures - len(failures)} of {len(cases)} parser cases agree "
+          f"{len(cases) + hash_failures - parser_failures} of {len(cases)} parser cases agree, "
+          f"{draw_agree} of {len(draw_cases)} draw cases agree "
           f"on Python {sys.version.split()[0]}")
     return 1 if failures else 0
 

@@ -62,6 +62,8 @@ from banachkit.spaces import (
     type_p_witness,
 )
 
+from draw_oracle import RandomOverridingRandom, draw_mismatches, oracle_random_block_tuple
+
 
 def unit(i):
     return SparseVector.unit(i)
@@ -590,34 +592,9 @@ class TestExampleSpaceVerification:
 
 # ---------------------------------------------------------------------------
 # Differential tests: the sandwich check and its random block tuples against
-# the SparseVector / combine path they replaced, copied here as the oracle.
+# the SparseVector / combine path they replaced, copied as the oracle (the
+# draw's into draw_oracle.py, which golden_hashes.py runs too).
 # ---------------------------------------------------------------------------
-
-
-def oracle_random_block_tuple(spec, rng, max_n=4, max_block=5, constant_coefficients=False):
-    n = rng.randint(1, max_n)
-    total = spec.total_dim
-    joints = [1] + [hi + 1 for _, hi in (spec.segment_range(s) for s in range(1, len(spec.ns)))]
-    budget = n * (max_block + 10) + 5
-    anchors = [j for j in joints if j + budget <= total] or [1]
-    if rng.random() < 0.5:
-        cursor = rng.choice(anchors)
-        cursor = max(1, cursor - rng.randint(0, 3))
-    else:
-        cursor = rng.randint(1, max(1, total - budget))
-    vectors = []
-    for _ in range(n):
-        size = rng.randint(1, max_block)
-        window = sorted(rng.sample(range(cursor, cursor + size + 6), size))
-        if constant_coefficients:
-            v = SparseVector.indicator(window)
-        else:
-            coeffs = [rng.uniform(-1.0, 1.0) or 0.5 for _ in window]
-            v = SparseVector({i: c for i, c in zip(window, coeffs)})
-        magnitude = spec.norm(v)
-        vectors.append(v.scale(1.0 / magnitude))
-        cursor = max(window) + 1 + rng.randint(0, 4)
-    return BlockSequence(vectors)
 
 
 def oracle_verify_example_space(p, ps, trials, seed=0, tol=1e-9):
@@ -698,21 +675,19 @@ class TestSandwichAgainstVectorPath:
         seed=st.integers(0, 2**32 - 1),
         parameters=st.sampled_from(EXAMPLE_PARAMETERS),
         max_n=st.integers(1, 5),
-        max_block=st.integers(1, 6),
+        # past 5, sample's set size grows with k; the pool branch must hold
+        max_block=st.integers(1, 30),
         constant_coefficients=st.booleans(),
+        rng_class=st.sampled_from((Random, RandomOverridingRandom)),
     )
-    def test_random_block_tuple_matches(self, seed, parameters, max_n, max_block, constant_coefficients):
+    def test_random_block_tuple_matches(self, seed, parameters, max_n, max_block, constant_coefficients, rng_class):
         spec = make_example_space(parameters[0], len(parameters[1]), parameters[1])
-        rng, oracle_rng = Random(seed), Random(seed)
-        for _ in range(5):
-            outcomes = []
-            for draw, source in ((random_block_tuple, rng), (oracle_random_block_tuple, oracle_rng)):
-                try:
-                    outcomes.append([v.to_pairs() for v in draw(spec, source, max_n, max_block, constant_coefficients)])
-                except InvalidVectorError as exc:  # a window past a short space
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1]
-            assert rng.getstate() == oracle_rng.getstate()
+        assert draw_mismatches(spec, seed, max_n, max_block, constant_coefficients, rng_class) == []
+
+    @pytest.mark.parametrize("max_n, max_block", [(0, 5), (4, 0)])
+    def test_empty_shape_rejected(self, max_n, max_block):
+        with pytest.raises(ValueError, match="max_n and max_block must be >= 1"):
+            random_block_tuple(make_example_space(2.0, 2, [1.0, 1.5]), Random(0), max_n, max_block)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,20 @@ class TestNormCommand:
         code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ('{"kind":"lp","p":2,"extra":1}', "lp space document has an unknown field 'extra'"),
+            (
+                '{"kind":"interleave","a":{"kind":"lp","p":2},"b":{"kind":"james","p":2}}',
+                "james space document has an unknown field 'p'",
+            ),
+        ],
+    )
+    def test_space_with_an_unknown_field_names_kind_and_field(self, space, message):
+        code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
     def test_nan_inner_exponent_is_usage_error(self):
         space = '{"kind":"lp_sum","p":2,"ps":[NaN],"ns":[3]}'
         code, out, err = run_cli("norm", "--space", space, "--vector", "1:1")
@@ -135,6 +149,12 @@ class TestVerifyExampleSpace:
         assert doc["result"]["passed"] is True
         assert doc["result"]["ns"][:2] == [2, 65]
         assert all(ok for _, ok in doc["result"]["type_checks"])
+
+    @pytest.mark.parametrize("ps", ["1,1.5,1.8,1.9", "1,1.5,1.8,1.9,1.95"])
+    def test_every_segment_defeats_type_p_exactly(self, ps):
+        code, doc = run_json("verify-example-space", "--ps", ps, "--trials", "20")
+        assert code == 0
+        assert doc["result"]["type_checks"] == [[s, True] for s in range(1, ps.count(",") + 2)]
 
     def test_zero_trials_vacuous_with_warning(self):
         code, doc = run_json("verify-example-space", "--trials", "0")

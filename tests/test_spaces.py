@@ -147,6 +147,24 @@ class TestLpSum:
         with pytest.raises(InvalidVectorError):
             norm(self.spec, units(20))
 
+    @settings(max_examples=200, deadline=None)
+    @given(ns=st.lists(st.integers(1, 6), min_size=1, max_size=5), data=st.data())
+    def test_segment_keys_match_per_index_lookup(self, ns, data):
+        # small segments and index sets over the whole line, so lists lie in
+        # one segment, straddle one or more joints, or reach past the end
+        spec = LpSum(p=2.0, ps=(1.0,) * len(ns), ns=tuple(ns))
+        total = spec.total_dim
+        indices = sorted(data.draw(st.sets(st.integers(1, total + 3), max_size=8)))
+        past = [i for i in indices if i > total]
+        if not past:
+            assert spec.segment_keys(indices) == [spec.segment_of(i).s - 1 for i in indices]
+            return
+        with pytest.raises(InvalidVectorError) as raised:
+            spec.segment_of(past[0])
+        with pytest.raises(InvalidVectorError) as keyed:
+            spec.segment_keys(indices)
+        assert str(keyed.value) == str(raised.value)
+
     def test_validation(self):
         with pytest.raises(InvalidSpecError):
             LpSum(p=2.0, ps=(1.0,), ns=(2, 3))
@@ -172,10 +190,27 @@ class TestMakeExampleSpace:
         assert spec.ns == (1 ** 2 + 1, 2 ** 6 + 1, 3 ** 18 + 1)
         assert spec.ns[1] == 65
 
-    def test_type_p_witness_by_construction(self):
-        spec = make_example_space(2.0, 3, [1.0, 1.5, 1.8])
-        for s in (1, 2, 3):
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            [1.0, 1.5, 1.8],
+            [1.0, 1.5],
+            # n_4 = 4**38 + 1 exceeds 4**(2*1.9/0.1), yet in floats
+            # n_4 ** (1/1.9) comes out below 4.0 * n_4 ** 0.5
+            [1.0, 1.5, 1.8, 1.9],
+            [1.0, 1.5, 1.8, 1.9, 1.95],
+        ],
+    )
+    def test_type_p_witness_by_construction(self, ps):
+        spec = make_example_space(2.0, len(ps), ps)
+        for s in range(1, len(ps) + 1):
             assert type_p_witness(spec, s, float(s))
+
+    def test_type_p_witness_is_strict_at_the_threshold(self):
+        # n_s = 4**38 exactly is not beyond the bound; the float comparison said so too
+        spec = LpSum(2.0, (1.0, 1.5, 1.8, 1.9), (2, 65, 3**18 + 1, 4**38))
+        assert not type_p_witness(spec, 4, 4.0)
+        assert type_p_witness(spec, 4, 3.999)
 
     def test_type_p_trivial_cases(self):
         assert not type_p_witness(LpSum(2.0, (1.0,), (1,)), 1, 1.0)
@@ -334,6 +369,27 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidSpecError):
             space_from_doc({"kind": "tsirelson"})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "lp", "p": 2, "extra": 1}, "lp space document has an unknown field 'extra'"),
+            ({"kind": "c0", "p": 2}, "c0 space document has an unknown field 'p'"),
+            ({"kind": "lp_sum", "p": 2, "ps": [1], "ns": [2], "n": 3}, "lp_sum space document has an unknown field 'n'"),
+            ({"kind": "james", "p": 2}, "james space document has an unknown field 'p'"),
+            (
+                {"kind": "interleave", "a": {"kind": "c0"}, "b": {"kind": "c0"}, "inner": "max"},
+                "interleave space document has an unknown field 'inner'",
+            ),
+            (
+                {"kind": "interleave", "a": {"kind": "c0"}, "b": {"kind": "lp", "p": 2, "q": 1}},
+                "lp space document has an unknown field 'q'",
+            ),
+        ],
+    )
+    def test_unknown_field_rejected(self, doc, message):
+        with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+            space_from_doc(doc)
 
     @pytest.mark.parametrize("doc", [{}, 3])
     def test_document_without_kind_rejected(self, doc):
