@@ -209,6 +209,17 @@ def _check_quantum(quantum: float) -> None:
         raise ValueError(f"quantum must be finite and > 0, got {quantum!r}")
 
 
+def _quantization(coeffs: Sequence[float], quantum: float, what: str) -> tuple[int, Callable[[float], int]]:
+    """The color count and the cell of a norm, for combinations of normalized blocks under
+    ``coeffs``, whose norms lie in [0, sum_i |a_i|]; ``what`` begins the refusal."""
+    cells = _sum_left(map(abs, coeffs)) / quantum if quantum > 0.0 else math.inf
+    if not cells < math.inf:
+        raise ValueError(f"{what} no finite count of colors")
+    # snap to 12 decimals first so values that are equal up to float noise
+    # (different summation orders, block sizes) share a cell
+    return math.ceil(cells) + 2, lambda value: int(math.floor(round(value, 12) / quantum))
+
+
 def _record_for_tuple(norm_of: CombinationNorm, coeffs: Sequence[float], K: int, H: int) -> GoodnessRecord:
     """Window record for one tuple.  Its ``evaluations`` counts the window
     tuples the record covers, not the norms computed for it."""
@@ -604,23 +615,14 @@ def brunel_sucheston_extract(
         found = False
         if len(current) >= L:
             ground = current
-            # norms of normalized blocks lie in [0, sum_i |a_i|]
-            cells = _sum_left(map(abs, coeffs)) / eps if eps > 0.0 else math.inf
-            if not cells < math.inf:
-                raise ValueError(
-                    f"extraction step m={m} with eps={eps!r} and coefficients "
-                    f"{list(coeffs)} gives no finite count of colors"
-                )
-
-            def quantized(subset: FiniteSet) -> int:
-                value = norm_of(coeffs, [ground[pos - 1] for pos in subset.elements])
-                return int(math.floor(round(value, 12) / eps))
-
+            colors, cell = _quantization(
+                coeffs, eps, f"extraction step m={m} with eps={eps!r} and coefficients {list(coeffs)} gives"
+            )
             coloring = Coloring(
                 kind="set",
-                colors=math.ceil(cells) + 2,
+                colors=colors,
                 ground=len(ground),
-                fn=quantized,
+                fn=lambda subset: cell(norm_of(coeffs, [ground[pos - 1] for pos in subset.elements])),
                 name="norm-quantization",
             )
             cert = ramsey_search(coloring, k=n, L=L)
@@ -702,9 +704,7 @@ def norm_quantization_coloring(
     """
     _check_quantum(quantum)
     coeffs = tuple(float(c) for c in coeffs)
-    cells = _sum_left(map(abs, coeffs)) / quantum
-    if not cells < math.inf:
-        raise ValueError(f"quantum {quantum!r} and coefficients {list(coeffs)} give no finite count of colors")
+    count, cell = _quantization(coeffs, quantum, f"quantum {quantum!r} and coefficients {list(coeffs)} give")
     # the largest odd and even indices reach furthest, in an Interleave too
     spec.coordinates(SparseVector.indicator(range(max(1, ground - 1), ground + 1)))
     class_of: dict = cache if cache is not None else {}
@@ -734,15 +734,12 @@ def norm_quantization_coloring(
         color = colors.get(key)
         if color is None:
             parts = [class_coords[cid] if cid >= 0 else () for cid in key]
-            value = combination_norm(spec, coeffs, parts)
-            # snap to 12 decimals first so values that are equal up to float
-            # noise (different summation orders, block sizes) share a cell
-            color = colors[key] = int(math.floor(round(value, 12) / quantum))
+            color = colors[key] = cell(combination_norm(spec, coeffs, parts))
         return color
 
     return Coloring(
         kind="blocking",
-        colors=math.ceil(cells) + 2,
+        colors=count,
         ground=ground,
         fn=fn,
         arity=len(coeffs),

@@ -18,8 +18,9 @@ coefficients; all norms are pure functions of (spec, vector).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -228,9 +229,19 @@ class _Space:
     def norm(self, v: SparseVector) -> float:
         return self.coordinate_norm(self.coordinates(v))
 
+    def to_doc(self) -> dict:
+        """The space document: ``kind``, then each ``init`` field in declaration
+        order, a space as its document, a tuple as a list, p = inf as ``"inf"``."""
+        doc = {"kind": self.kind}
+        for name in (f.name for f in fields(self) if f.init):
+            v = getattr(self, name)
+            doc[name] = v.to_doc() if isinstance(v, _Space) else list(v) if isinstance(v, tuple) else _p_doc(v)
+        return doc
+
 
 @dataclass(frozen=True)
 class Lp(_Space):
+    kind = "lp"
     p: float
 
     def __post_init__(self):
@@ -259,19 +270,15 @@ class Lp(_Space):
             total += abs(c / scale) ** p
         return scale * total ** (1.0 / p)
 
-    def to_doc(self) -> dict:
-        return {"kind": "lp", "p": _p_doc(self.p)}
-
 
 @dataclass(frozen=True)
 class C0(_Space):
+    kind = "c0"
+
     def coordinate_norm(self, coords) -> float:
         if not coords:
             return 0.0
         return max(abs(c) for _, c in coords)
-
-    def to_doc(self) -> dict:
-        return {"kind": "c0"}
 
 
 @dataclass(frozen=True)
@@ -289,6 +296,7 @@ class LpSum(_Space):
     segment number.
     """
 
+    kind = "lp_sum"
     p: float
     ps: tuple[float, ...]
     ns: tuple[int, ...]
@@ -370,9 +378,6 @@ class LpSum(_Space):
             total += mass ** (p / ps[s])
         return scale * total ** (1.0 / p)
 
-    def to_doc(self) -> dict:
-        return {"kind": "lp_sum", "p": self.p, "ps": list(self.ps), "ns": list(self.ns)}
-
 
 @dataclass(frozen=True)
 class Interleave(_Space):
@@ -388,8 +393,9 @@ class Interleave(_Space):
     successive blocks still keeps each part in index order.
     """
 
-    a: "SpaceSpec"
-    b: "SpaceSpec"
+    kind = "interleave"
+    a: SpaceSpec
+    b: SpaceSpec
     outer: str = "max"
 
     def __post_init__(self):
@@ -426,9 +432,6 @@ class Interleave(_Space):
     def _outer(self, na: float, nb: float) -> float:
         return max(na, nb) if self.outer == "max" else na + nb
 
-    def to_doc(self) -> dict:
-        return {"kind": "interleave", "a": self.a.to_doc(), "b": self.b.to_doc(), "outer": self.outer}
-
 
 @dataclass(frozen=True)
 class James(_Space):
@@ -450,6 +453,7 @@ class James(_Space):
     sign of one coordinate changes the differences.
     """
 
+    kind = "james"
     unconditional = False
 
     def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
@@ -490,9 +494,6 @@ class James(_Space):
             if b > top:
                 top = b
         return scale * math.sqrt(top)
-
-    def to_doc(self) -> dict:
-        return {"kind": "james"}
 
 
 SpaceSpec = Lp | C0 | LpSum | Interleave | James
@@ -561,12 +562,18 @@ def _example_dimension(p: float, p_s: float, s: int) -> int:
 
     The exponent is computed as an exact rational from the decimal text of
     the inputs, so integer exponents (the usual case in experiments) give
-    exact integer thresholds instead of float-rounded ones.
+    exact integer thresholds instead of float-rounded ones.  Before any power
+    is taken, e * log10(s) refuses an n_s of more digits than a report prints
+    (Python's default limit, 4300) or a float threshold past the float range.
     """
     exponent = _type_exponent(p, p_s)
-    if exponent.denominator == 1:
-        return s ** int(exponent) + 1
-    return math.floor(s ** float(exponent)) + 1
+    integer = exponent.denominator == 1
+    if float(exponent) * math.log10(s) < (4300 if integer else math.log10(sys.float_info.max)):
+        return s ** int(exponent) + 1 if integer else math.floor(s ** float(exponent)) + 1
+    raise InvalidSpecError(
+        f"segment {s} with inner exponent {p_s!r}: n_{s}, the least integer above {s}^({exponent}), "
+        + ("has more than 4300 digits" if integer else "is past the float range")
+    )
 
 
 def make_example_space(p: float, num_segments: int, ps: Iterable[float]) -> LpSum:
@@ -619,55 +626,41 @@ def type_p_witness(spec: LpSum, s: int, C: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _parse_p(raw) -> float:
-    if raw in ("inf", "Infinity"):
-        return INF
-    return float(raw)
-
-
 def _p_doc(p: float | None) -> float | str | None:
-    """An exponent as reports write it, inverse of ``_parse_p``: JSON has no
-    infinity, so p = inf is the string ``"inf"``."""
+    """An exponent as reports write it: JSON has no infinity, so p = inf is
+    the string ``"inf"``, which ``float`` reads back."""
     return "inf" if p == INF else p
 
 
-# The fields a space document of each kind may carry besides "kind".
-_DOC_FIELDS = {
-    "lp": ("p",),
-    "c0": (),
-    "lp_sum": ("p", "ps", "ns"),
-    "interleave": ("a", "b", "outer"),
-    "james": (),
-}
+# Each kind's class, by the ``kind`` its documents carry
+_KINDS = {cls.kind: cls for cls in SpaceSpec.__args__}
 
 
 def space_from_doc(doc: dict) -> SpaceSpec:
-    """Inverse of ``spec.to_doc()``; round-trips exactly.  A field the kind
-    does not have is refused rather than ignored."""
+    """Inverse of ``spec.to_doc()``; round-trips exactly.  The document holds
+    ``kind`` and the ``init`` fields of its class: an unknown field, or a
+    missing one without a default, is refused; the constructor checks values."""
     try:
         kind = doc["kind"]
     except (TypeError, KeyError) as exc:
         raise InvalidSpecError(f"space document {doc!r} has no 'kind'") from exc
-    fields = _DOC_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise InvalidSpecError(f"unknown space kind {kind!r}")
+    init = {f.name: f for f in fields(cls) if f.init}
     for name in doc:
-        if name != "kind" and name not in fields:
+        if name != "kind" and name not in init:
             raise InvalidSpecError(f"{kind} space document has an unknown field {name!r}")
+    values = {}
+    for name, f in init.items():
+        if name in doc:
+            values[name] = _part(doc, name) if f.type == "SpaceSpec" else doc[name]
+        elif f.default is MISSING:
+            raise InvalidSpecError(f"{kind} space document has no {name!r}")
     try:
-        if kind == "lp":
-            return Lp(p=_parse_p(doc["p"]))
-        if kind == "c0":
-            return C0()
-        if kind == "lp_sum":
-            return LpSum(p=float(doc["p"]), ps=tuple(doc["ps"]), ns=tuple(doc["ns"]))
-        if kind == "interleave":
-            return Interleave(a=_part(doc, "a"), b=_part(doc, "b"), outer=doc.get("outer", "max"))
-    except KeyError as exc:
-        raise InvalidSpecError(f"{kind} space document has no {exc.args[0]!r}") from exc
+        return cls(**values)
     except TypeError as exc:
         raise InvalidSpecError(f"{kind} space document has a field of the wrong type: {exc}") from exc
-    return James()  # the one kind left
 
 
 def _part(doc: dict, field: str) -> SpaceSpec:

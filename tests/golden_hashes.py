@@ -11,10 +11,11 @@ compares ``random_block_tuple`` with the public-``Random``-method oracle of
 ``draw_oracle`` (vectors and generator state) at a few seeds and shapes,
 for ``Random`` and for a subclass that overrides only ``random()``, which
 checks on each interpreter that the draw makes the calls those methods
-make.  Prints one line per mismatch and exits 1 if there is any, else
-exits 0.  Needs only the standard library, so it can check interpreters
-that have no pytest installed.  pytest does not collect this file, since
-its name does not start with ``test_``.
+make.  Prints one line per mismatch, then a summary line that ends with the
+line count of ``src/``, and exits 1 if there is any mismatch, else exits 0.
+Needs only the standard library, so it can check interpreters that have no
+pytest installed.  pytest does not collect this file, since its name does
+not start with ``test_``.
 """
 
 import hashlib
@@ -23,7 +24,8 @@ import types
 from pathlib import Path
 from random import Random
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 try:
     import pytest  # noqa: F401
@@ -74,7 +76,8 @@ def main() -> int:
     print(f"{len(test_golden.GOLDEN) + 1 - hash_failures} of {len(test_golden.GOLDEN) + 1} hashes match, "
           f"{len(cases) + hash_failures - parser_failures} of {len(cases)} parser cases agree, "
           f"{draw_agree} of {len(draw_cases)} draw cases agree "
-          f"on Python {sys.version.split()[0]}")
+          f"on Python {sys.version.split()[0]}; src/ has "
+          f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines")
     return 1 if failures else 0
 
 

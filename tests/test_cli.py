@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from banachkit import cli, games
+from banachkit import analysis, cli, games
 from banachkit.analysis import GoodnessReport, SpreadingEstimate, krivine_p_estimate
 from banachkit.games import AsymptoticVerdict
 from banachkit.cli import main
@@ -150,7 +150,8 @@ class TestVerifyExampleSpace:
         assert doc["result"]["ns"][:2] == [2, 65]
         assert all(ok for _, ok in doc["result"]["type_checks"])
 
-    @pytest.mark.parametrize("ps", ["1,1.5,1.8,1.9", "1,1.5,1.8,1.9,1.95"])
+    # 1,1.999 gives segment 2 a dimension of 1 204 digits
+    @pytest.mark.parametrize("ps", ["1,1.5,1.8,1.9", "1,1.5,1.8,1.9,1.95", "1,1.999"])
     def test_every_segment_defeats_type_p_exactly(self, ps):
         code, doc = run_json("verify-example-space", "--ps", ps, "--trials", "20")
         assert code == 0
@@ -174,6 +175,25 @@ class TestVerifyExampleSpace:
     def test_nan_inner_exponent_is_usage_error(self):
         code, out, err = run_cli("verify-example-space", "--ps", "nan")
         assert (code, out, err) == (2, "", "config error: inner exponents must lie in [1, p)\n")
+
+    @pytest.mark.parametrize(
+        "ps, too_large",
+        [
+            ("1,1.9985", "2^(7994/3), is past the float range"),
+            ("1,1.999999", "2^(3999998), has more than 4300 digits"),
+            # n_2 would be 2**399999999998 + 1, about 50 GB
+            ("1,1.99999999999", "2^(399999999998), has more than 4300 digits"),
+        ],
+    )
+    def test_segment_dimension_too_large_to_compute_is_usage_error(self, monkeypatch, ps, too_large):
+        def never(*args, **kwargs):
+            raise AssertionError("drew block tuples in a space that cannot be built")
+
+        monkeypatch.setattr(analysis, "_block_tuple_frames", never)
+        code, out, err = run_cli("verify-example-space", "--ps", ps)
+        inner = ps.split(",")[1]
+        message = f"segment 2 with inner exponent {inner}: n_2, the least integer above {too_large}"
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
 class TestSearchCommands:

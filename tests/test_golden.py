@@ -31,10 +31,13 @@ list of public names from the modules' own lists.  The other eleven CSV
 reports ending in ``-csv`` (one per command that had none) and the parser
 surface (each subcommand's help and the argparse attributes of its
 options) were hashed before the subcommands' options moved from one block
-of ``add_argument`` calls each into one table.  ``main`` declares only the
-invoked command's options, so ``parser_cases`` runs five argument lists per
-command through ``main`` and through the full ``build_parser()``, which must
-agree in exit code, stdout and stderr.  ``tests/golden_hashes.py`` checks all
+of ``add_argument`` calls each into one table.  The JSON ``norm`` reports
+of l_inf, c_0, an l_p sum, James and an interleave with outer sum, which
+print each kind's space document, were hashed before that document was
+written from the dataclass fields instead of by a ``to_doc`` per kind.
+``main`` declares only the invoked command's options, so ``parser_cases``
+runs five argument lists per command through ``main`` and through the full
+``build_parser()``, which must agree in exit code, stdout and stderr.  ``tests/golden_hashes.py`` checks all
 of them without pytest.
 """
 
@@ -147,6 +150,30 @@ GOLDEN = {
     "norm-interleave": (
         ["norm", "--space", INTERLEAVE, "--vector", "1:1,2:-0.5,5:2"],
         "b7a6376b7a9fc2a966f8717387f56f0a166b445a666a19b8c04657e7a33c0609",
+    ),
+    "norm-lp-inf": (
+        ["norm", "--space", '{"kind":"lp","p":"inf"}', "--vector", "1:1,2:-3,7:2.5"],
+        "84966113fe5dfceeb9f529b4323315b49c397a7a0b4e9c85e9b86050d9f0c455",
+    ),
+    "norm-c0": (
+        ["norm", "--space", '{"kind":"c0"}', "--vector", "2:0.5,4:-1.25"],
+        "977b1a96db844e8629e9ccac1dffdb86b6c76baf8c9a0888de09cb4145e875ba",
+    ),
+    "norm-lp-sum": (
+        ["norm", "--space", '{"kind":"lp_sum","p":2,"ps":[1,1.5],"ns":[2,3]}', "--vector", "1:1,2:-1,4:0.5,5:2"],
+        "bcc400bd1a8a424a0a4b1b2b14f3041527f51dc683c25e93b19f37f7935f2cbb",
+    ),
+    "norm-james": (
+        ["norm", "--space", '{"kind":"james"}', "--vector", "1:1,2:1,4:-1"],
+        "8eec458406327767b5b6c0bd8a1f7db039d5e34755a4b8dfd57da11408ecf239",
+    ),
+    "norm-interleave-sum": (
+        [
+            "norm", "--space",
+            '{"kind":"interleave","a":{"kind":"james"},"b":{"kind":"lp","p":"Infinity"},"outer":"sum"}',
+            "--vector", "1:1,2:-2,3:1,6:0.5",
+        ],
+        "492aa39d712f41c5d30039aa1b51c6462f6d7d59f7b6fb34904f778cebe16c7c",
     ),
     "game-nccb": (
         ["game", "--space", INTERLEAVE, "--vector-player", "nccb:3", "--subspace", "constant:2"],

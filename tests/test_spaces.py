@@ -1,5 +1,6 @@
 """Norm values, segment bookkeeping, and norm axioms for every space kind."""
 
+import dataclasses
 import json
 import math
 from random import Random
@@ -349,18 +350,35 @@ class TestInterleave:
 
 
 class TestSerialization:
-    def test_roundtrip_every_kind(self):
-        specs = [
+    @pytest.mark.parametrize(
+        "spec",
+        [
             Lp(2.0),
             Lp(math.inf),
             C0(),
             LpSum(2.0, (1.0, 1.5, 1.8), (2, 65, 387420490)),
             Interleave(Lp(1.0), Lp(2.0), "max"),
+            Interleave(James(), Lp(math.inf), "sum"),
             James(),
-        ]
-        for spec in specs:
-            doc = spec.to_doc()
-            assert space_from_doc(json.loads(json.dumps(doc))) == spec
+        ],
+        ids=lambda spec: json.dumps(spec.to_doc()),
+    )
+    def test_roundtrip_every_kind(self, spec):
+        """The document is ``kind`` plus the ``init`` fields; a required field
+        may not be left out, one with a default may, and no other may be added."""
+        doc = spec.to_doc()
+        init = [f for f in dataclasses.fields(spec) if f.init]
+        assert list(doc) == ["kind", *(f.name for f in init)]
+        assert space_from_doc(json.loads(json.dumps(doc))) == spec
+        for f in init:
+            rest = {k: v for k, v in doc.items() if k != f.name}
+            if f.default is dataclasses.MISSING:
+                with pytest.raises(InvalidSpecError, match=f"^{doc['kind']} space document has no '{f.name}'$"):
+                    space_from_doc(rest)
+            else:
+                assert space_from_doc(rest) == dataclasses.replace(spec, **{f.name: f.default})
+        with pytest.raises(InvalidSpecError, match=f"^{doc['kind']} space document has an unknown field 'extra'$"):
+            space_from_doc({**doc, "extra": 1})
 
     def test_infinite_p_serializes_portably(self):
         assert Lp(math.inf).to_doc() == {"kind": "lp", "p": "inf"}
