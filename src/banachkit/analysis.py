@@ -37,6 +37,7 @@ from .combinatorics import (
     ramsey_search,
 )
 from .spaces import (
+    INF,
     LpSum,
     SparseVector,
     SpaceSpec,
@@ -968,6 +969,7 @@ def _draw_block_tuple(
     ``random()``.
     """
     below, random = rng._randbelow, rng.random
+    keys_of, norm_of = spec.segment_keys, spec.coordinate_norm
     n = 1 + below(len(frames))
     anchors, span = frames[n - 1]
     if random() < 0.5:
@@ -990,12 +992,12 @@ def _draw_block_tuple(
             coeffs = [1.0] * size
         else:
             coeffs = [-1.0 + 2.0 * random() or 0.5 for _ in window]
-        keys = spec.segment_keys(window)
-        factor = 1.0 / spec.coordinate_norm(list(zip(keys, coeffs)))
+        keys = keys_of(window)
+        factor = 1.0 / norm_of(list(zip(keys, coeffs)))
         part = [
             (key, x)
             for key, c in zip(keys, coeffs)
-            if (x := factor * c) != 0.0 and (-math.inf < x < math.inf or _reject_coefficient(x))
+            if (x := factor * c) != 0.0 and (-INF < x < INF or _reject_coefficient(x))
         ]
         supports.append(window if len(part) == size else [i for i, c in zip(window, coeffs) if factor * c])
         parts.append(part)
@@ -1071,7 +1073,9 @@ def verify_example_space(
         n = len(parts)
         coeffs = [-1.0 + 2.0 * random() for _ in range(n)]  # uniform(-1.0, 1.0)
         value = combination_norm(spec, coeffs, parts)
-        power_sum = _sum_left(abs(a) ** p for a in coeffs)
+        power_sum = 0.0
+        for a in coeffs:
+            power_sum += abs(a) ** p
         s0 = parts[0][0][0] + 1
         cap = n ** (p / ps[s0 - 1] - 1.0) * power_sum
         mid = value ** p

@@ -57,6 +57,16 @@ def _reject_coefficient(coeff: float) -> bool:
     raise InvalidVectorError(f"coefficient {coeff!r} is not finite")
 
 
+def _scale(coords) -> float:
+    """The largest magnitude among the values of ``coords``; 0.0 if there are none."""
+    top = 0.0
+    for _, c in coords:
+        c = abs(c)
+        if c > top:
+            top = c
+    return top
+
+
 # ---------------------------------------------------------------------------
 # Sparse vectors
 # ---------------------------------------------------------------------------
@@ -200,8 +210,10 @@ def _check_exponent(p: float) -> float:
 # pairs, and every kind's ``norm(v)`` is ``coordinate_norm(coordinates(v))``.
 # The key is whatever the formula needs besides the value: ``None`` for Lp
 # and C0, whose formulas read values only, the index for James, an LpSum
-# segment; ``coordinates(v)`` computes the keys once.  Vectors with equal
-# coordinate lists are interchangeable for every norm computed from them
+# segment; ``coordinates(v)`` computes the keys once.  Coordinates arrive in
+# index order, so an LpSum's keys never decrease and it sums each segment as
+# one run of equal keys.  Vectors with equal coordinate lists are
+# interchangeable for every norm computed from them
 # (``norm_quantization_coloring`` relies on it).  For vectors with
 # successively increasing supports, the concatenated coordinates are those
 # of their sum, so a combination can be measured from its parts without
@@ -223,7 +235,8 @@ class _Space:
         return [(None, c) for c in v._entries.values()]
 
     def coordinate_norm(self, coords) -> float:
-        """The norm of the vector whose nonzero coordinates are ``coords``."""
+        """The norm of the vector whose nonzero coordinates are ``coords``, in
+        index order; ``LpSum`` sums each segment as one run of equal keys."""
         raise NotImplementedError
 
     def norm(self, v: SparseVector) -> float:
@@ -251,7 +264,7 @@ class Lp(_Space):
         if not coords:
             return 0.0
         if self.p == INF:
-            return max(abs(c) for _, c in coords)
+            return _scale(coords)
         # the sums run left to right, as in _sum_left, written out for speed
         total = 0.0
         if self.p == 1.0:
@@ -260,7 +273,7 @@ class Lp(_Space):
             return total
         # factor out the largest magnitude so powers of tiny or huge
         # coefficients cannot underflow or overflow
-        scale = max(abs(c) for _, c in coords)
+        scale = _scale(coords)
         if self.p == 2.0:
             for _, c in coords:
                 total += (c / scale) ** 2
@@ -276,9 +289,7 @@ class C0(_Space):
     kind = "c0"
 
     def coordinate_norm(self, coords) -> float:
-        if not coords:
-            return 0.0
-        return max(abs(c) for _, c in coords)
+        return _scale(coords)
 
 
 @dataclass(frozen=True)
@@ -307,9 +318,10 @@ class LpSum(_Space):
         if not (1.0 < p < INF):
             raise InvalidSpecError(f"outer exponent p={p} must lie in (1, inf)")
         ps = tuple(float(q) for q in self.ps)
-        ns = tuple(int(n) for n in self.ns)
-        if ns != tuple(self.ns):
+        # an int, or a float without fractional part (not inf or NaN); not a bool
+        if not all(type(n) is int or type(n) is float and n.is_integer() for n in self.ns):
             raise InvalidSpecError(f"segment dimensions must be integers, got {list(self.ns)}")
+        ns = tuple(int(n) for n in self.ns)
         if len(ps) != len(ns) or not ps:
             raise InvalidSpecError("ps and ns must be nonempty lists of equal length")
         if any(not (1.0 <= q <= p) for q in ps):
@@ -352,10 +364,10 @@ class LpSum(_Space):
         """The coordinate keys of the increasing positive ``indices``; raises past the segments."""
         if not indices:
             return []
-        if indices[-1] > self.total_dim:
-            # segment_of raises for the first index past the segments
-            self.segment_of(next(i for i in indices if i > self.total_dim))
         cumulative = self._cumulative
+        if indices[-1] > cumulative[-1]:
+            # segment_of raises for the first index past the segments
+            self.segment_of(next(i for i in indices if i > cumulative[-1]))
         s = bisect_left(cumulative, indices[0])
         if indices[-1] <= cumulative[s]:
             # increasing indices between the first one and segment s's end
@@ -369,13 +381,19 @@ class LpSum(_Space):
         if not coords:
             return 0.0
         p, ps = self.p, self.ps
-        scale = max(abs(c) for _, c in coords)
-        inner: dict[int, float] = {}
+        scale = _scale(coords)
+        # one pass: a segment's mass joins the total when its run of keys ends
+        total = mass = 0.0
+        key = coords[0][0]
+        q = ps[key]
         for s, coeff in coords:
-            inner[s] = inner.get(s, 0.0) + abs(coeff / scale) ** ps[s]
-        total = 0.0
-        for s, mass in inner.items():
-            total += mass ** (p / ps[s])
+            if s != key:
+                if s < key:
+                    raise InvalidVectorError(f"coordinate keys out of index order: segment {s} after {key}")
+                total += mass ** (p / q)
+                key, q, mass = s, ps[s], 0.0
+            mass += abs(coeff / scale) ** q
+        total += mass ** (p / q)
         return scale * total ** (1.0 / p)
 
 
@@ -478,7 +496,7 @@ class James(_Space):
     def coordinate_norm(self, coords) -> float:
         if not coords:
             return 0.0
-        scale = max(abs(c) for _, c in coords)
+        scale = _scale(coords)
         values = [c / scale for c in self._candidates(coords)]
         n = len(values)
         # best[j] = max over tuples ending at j of the accumulated square sum
@@ -607,7 +625,7 @@ def type_p_witness(spec: LpSum, s: int, C: float) -> bool:
     p_s < p and C > 0, when n_s > C^e with e = p*p_s/(p - p_s).  As in
     ``make_example_space``, e is read as a rational from the decimal text;
     when e and C are integers the comparison is made in integers, else in
-    floats.
+    floats, or in logarithms for an n_s past the float range.
     """
     if not isinstance(spec, LpSum):
         raise InvalidSpecError("type_p_witness requires an LpSum spec")
@@ -618,7 +636,11 @@ def type_p_witness(spec: LpSum, s: int, C: float) -> bool:
         exponent = _type_exponent(spec.p, p_s)
         if exponent.denominator == 1:
             return n_s > int(C) ** int(exponent)
-    return n_s ** (1.0 / p_s) > C * n_s ** (1.0 / spec.p)
+    try:
+        return n_s ** (1.0 / p_s) > C * n_s ** (1.0 / spec.p)
+    except OverflowError:
+        # n_s (or C) is past the float range, where logarithms still are
+        return C <= 0 or math.log(n_s) / p_s > math.log(C) + math.log(n_s) / spec.p
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Usage: python tests/golden_hashes.py
 
 Runs each invocation of ``test_golden.GOLDEN`` through ``banachkit.cli.main``
 from this checkout's ``src`` and compares the sha256 of its output, then
-hashes the parser surface, then runs each of ``test_golden.parser_cases()``
+hashes the parser surface and the failure records of a sandwich check
+(``test_golden.sandwich_digest``), then runs each of ``test_golden.parser_cases()``
 through ``main`` and through a ``main`` that parses with the full
 ``build_parser()``, and compares exit code, stdout and stderr.  Then
 compares ``random_block_tuple`` with the public-``Random``-method oracle of
@@ -53,6 +54,9 @@ def main() -> int:
     surface = hashlib.sha256(test_golden.parser_surface().encode()).hexdigest()
     if surface != test_golden.PARSER_SURFACE:
         failures.append(f"parser surface: sha256 {surface}, expected {test_golden.PARSER_SURFACE}")
+    sandwich = test_golden.sandwich_digest()
+    if sandwich != test_golden.SANDWICH_DIGEST:
+        failures.append(f"sandwich records: sha256 {sandwich}, expected {test_golden.SANDWICH_DIGEST}")
     hash_failures = len(failures)
     cases = test_golden.parser_cases()
     for argv in cases:
@@ -73,7 +77,7 @@ def main() -> int:
         draw_agree += not mismatches
     for line in failures:
         print(line)
-    print(f"{len(test_golden.GOLDEN) + 1 - hash_failures} of {len(test_golden.GOLDEN) + 1} hashes match, "
+    print(f"{len(test_golden.GOLDEN) + 2 - hash_failures} of {len(test_golden.GOLDEN) + 2} hashes match, "
           f"{len(cases) + hash_failures - parser_failures} of {len(cases)} parser cases agree, "
           f"{draw_agree} of {len(draw_cases)} draw cases agree "
           f"on Python {sys.version.split()[0]}; src/ has "

@@ -117,6 +117,10 @@ class TestNormCommand:
                 "lp_sum space document has a field of the wrong type: 'int' object is not iterable",
             ),
             ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[2.5]}', "segment dimensions must be integers, got [2.5]"),
+            # past the float range, NaN and a bool are refused before any conversion
+            ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[1e400]}', "segment dimensions must be integers, got [inf]\n"),
+            ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[NaN]}', "segment dimensions must be integers, got [nan]\n"),
+            ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[true]}', "segment dimensions must be integers, got [True]\n"),
             ('{"kind":"lp","p":[2]}', "lp space document has a field of the wrong type: float() argument"),
             (
                 '{"kind":"interleave","a":{"kind":"c0"},"b":{"kind":"lp_sum","p":2,"ps":[1],"ns":3}}',

@@ -35,6 +35,12 @@ of ``add_argument`` calls each into one table.  The JSON ``norm`` reports
 of l_inf, c_0, an l_p sum, James and an interleave with outer sum, which
 print each kind's space document, were hashed before that document was
 written from the dataclass fields instead of by a ``to_doc`` per kind.
+The sandwich digest hashes the report of 2 000 trials of
+``verify_example_space`` at tolerance -1, where 1 995 trials fail, so it pins
+the drawn blocks, vectors, coefficients, norms and bounds that the
+``verify-example-space`` goldens, whose trials all pass, do not print; it was
+taken before the ``LpSum`` norm summed each segment as one run of equal keys
+instead of gathering segment masses in a dict.
 ``main`` declares only the invoked command's options, so ``parser_cases``
 runs five argument lists per command through ``main`` and through the full
 ``build_parser()``, which must agree in exit code, stdout and stderr.  ``tests/golden_hashes.py`` checks all
@@ -50,6 +56,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from banachkit import cli
+from banachkit.analysis import verify_example_space
 from banachkit.cli import build_parser, main
 
 EXAMPLE_SPACE = json.dumps(
@@ -322,6 +329,14 @@ GOLDEN = {
 
 PARSER_SURFACE = "961c52c59826d678002e0911c284f279a1a18f3ec079df5d26d63d85c2553932"
 
+SANDWICH_DIGEST = "634595ffcb875836b11a314670686b69f4792ac6133f56f087c35a362f6f86eb"
+
+
+def sandwich_digest() -> str:
+    """sha256 of the sorted-key JSON of a sandwich report whose records hold every drawn value."""
+    report = verify_example_space(2, (1, 1.5, 1.8), 2000, seed=0, tol=-1.0)
+    return hashlib.sha256(json.dumps(report.to_doc(), sort_keys=True, allow_nan=False).encode()).hexdigest()
+
 
 def parser_surface() -> str:
     """Each subcommand's help, then the argparse attributes of each of its actions.
@@ -409,6 +424,10 @@ def report_digest(argv: list[str]) -> tuple[int, str]:
 def test_report_bytes(name):
     argv, digest = GOLDEN[name]
     assert report_digest(argv) == (0, digest)
+
+
+def test_sandwich_digest():
+    assert sandwich_digest() == SANDWICH_DIGEST
 
 
 def test_parser_surface():

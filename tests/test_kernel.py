@@ -170,6 +170,145 @@ class TestKernelBitExact:
 
 
 # ---------------------------------------------------------------------------
+# Each kind's coordinate formula against the kernels it replaced: a generator
+# ``max`` for the scale and, for LpSum, segment masses gathered in a dict
+# ---------------------------------------------------------------------------
+
+
+def oracle_scale(coords):
+    return max(abs(c) for _, c in coords)
+
+
+def oracle_lp(p, coords):
+    if not coords:
+        return 0.0
+    if p == math.inf:
+        return oracle_scale(coords)
+    total = 0.0
+    if p == 1.0:
+        for _, c in coords:
+            total += abs(c)
+        return total
+    scale = oracle_scale(coords)
+    if p == 2.0:
+        for _, c in coords:
+            total += (c / scale) ** 2
+        return scale * math.sqrt(total)
+    for _, c in coords:
+        total += abs(c / scale) ** p
+    return scale * total ** (1.0 / p)
+
+
+def oracle_lp_sum(p, ps, coords):
+    if not coords:
+        return 0.0
+    scale = oracle_scale(coords)
+    inner = {}
+    for s, coeff in coords:
+        inner[s] = inner.get(s, 0.0) + abs(coeff / scale) ** ps[s]
+    total = 0.0
+    for s, mass in inner.items():
+        total += mass ** (p / ps[s])
+    return scale * total ** (1.0 / p)
+
+
+def oracle_james(coords):
+    if not coords:
+        return 0.0
+    profile = []
+    previous_index = 0
+    for index, coeff in coords:
+        if index > previous_index + 1 and (not profile or profile[-1] != 0.0):
+            profile.append(0.0)
+        if not profile or profile[-1] != coeff:
+            profile.append(coeff)
+        previous_index = index
+    if not profile or profile[-1] != 0.0:
+        profile.append(0.0)
+    scale = oracle_scale(coords)
+    values = [c / scale for c in profile]
+    best = [0.0] * len(values)
+    top = 0.0
+    for j in range(1, len(values)):
+        for i in range(j):
+            best[j] = max(best[j], best[i] + (values[j] - values[i]) ** 2)
+        top = max(top, best[j])
+    return scale * math.sqrt(top)
+
+
+# magnitudes from a small pool, so equal magnitudes of opposite sign are common
+magnitude = st.one_of(
+    st.sampled_from([1e-300, 1e300, 0.5, 1.0, 3.0]),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+signed = st.tuples(magnitude, st.booleans()).map(lambda ms: -ms[0] if ms[1] else ms[0])
+
+
+@st.composite
+def lp_sums(draw):
+    """An LpSum of 1..4 segments whose inner exponents include 1.0 and p."""
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    k = draw(st.integers(min_value=1, max_value=4))
+    ps = sorted(draw(st.lists(st.sampled_from([1.0, 1.25, (1.0 + p) / 2, p]), min_size=k, max_size=k)))
+    return LpSum(p, tuple(ps), (1,) * k)
+
+
+@st.composite
+def keyed(draw, spec):
+    """Nonzero coordinates keyed for ``spec``, keys in index order."""
+    values = draw(st.lists(signed, max_size=12))
+    if isinstance(spec, LpSum):
+        keys = sorted(draw(st.lists(st.integers(0, len(spec.ps) - 1), min_size=len(values), max_size=len(values))))
+    elif isinstance(spec, James):
+        keys = sorted(draw(st.sets(st.integers(1, 30), min_size=len(values), max_size=len(values))))
+    else:
+        keys = [None] * len(values)
+    return list(zip(keys, values))
+
+
+def oracle(spec, coords):
+    if isinstance(spec, LpSum):
+        return oracle_lp_sum(spec.p, spec.ps, coords)
+    if isinstance(spec, James):
+        return oracle_james(coords)
+    return oracle_lp(math.inf if isinstance(spec, C0) else spec.p, coords)
+
+
+def bits(x):
+    return x.hex()
+
+
+class TestCoordinateFormulas:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=lp_sums(), data=st.data())
+    def test_lp_sum(self, spec, data):
+        coords = data.draw(keyed(spec))
+        assert bits(spec.coordinate_norm(coords)) == bits(oracle(spec, coords))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.sampled_from([Lp(1.0), Lp(2.0), Lp(3.0), Lp(math.inf), C0(), James()]), data=st.data())
+    def test_value_kinds_and_james(self, spec, data):
+        coords = data.draw(keyed(spec))
+        assert bits(spec.coordinate_norm(coords)) == bits(oracle(spec, coords))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=lp_sums(), b=st.sampled_from([Lp(2.0), C0(), James()]), outer=st.sampled_from(["max", "sum"]),
+           data=st.data())
+    def test_interleave_with_an_lp_sum_part(self, a, b, outer, data):
+        odd, even = data.draw(keyed(a)), data.draw(keyed(b))
+        spec = Interleave(a, b, outer)
+        coords = [((False, k), c) for k, c in odd] + [((True, k), c) for k, c in even]
+        na, nb = oracle(a, odd), oracle(b, even)
+        assert bits(spec.coordinate_norm(coords)) == bits(max(na, nb) if outer == "max" else na + nb)
+
+    def test_lp_sum_refuses_a_decreasing_key(self):
+        spec = LpSum(2.0, (1.0, 1.5, 2.0), (2, 3, 4))
+        assert spec.coordinate_norm([(0, 1.0), (2, 1.0), (2, -1.0)]) == oracle(spec, [(0, 1.0), (2, 1.0), (2, -1.0)])
+        with pytest.raises(InvalidVectorError, match="segment 1 after 2"):
+            spec.coordinate_norm([(0, 1.0), (2, 1.0), (1, -1.0)])
+
+
+# ---------------------------------------------------------------------------
 # Memo-free oracles for the scans
 # ---------------------------------------------------------------------------
 

@@ -177,7 +177,11 @@ class TestLpSum:
             LpSum(p=1.0, ps=(1.0,), ns=(2,))
         with pytest.raises(InvalidSpecError, match="segment dimensions must be integers"):
             LpSum(p=2.0, ps=(1.0,), ns=(2.5,))
+        for n in (True, math.inf, math.nan, "3", None):
+            with pytest.raises(InvalidSpecError, match="segment dimensions must be integers"):
+                LpSum(p=2.0, ps=(1.0,), ns=(n,))
         assert LpSum(p=2.0, ps=(1.0,), ns=(2.0,)).ns == (2,)
+        assert type(LpSum(p=2.0, ps=(1.0,), ns=(2.0,)).ns[0]) is int
 
     def test_nan_inner_exponent_rejected(self):
         with pytest.raises(InvalidSpecError, match=r"inner exponents must lie in \[1, p\]"):
@@ -212,6 +216,13 @@ class TestMakeExampleSpace:
         spec = LpSum(2.0, (1.0, 1.5, 1.8, 1.9), (2, 65, 3**18 + 1, 4**38))
         assert not type_p_witness(spec, 4, 4.0)
         assert type_p_witness(spec, 4, 3.999)
+
+    def test_type_p_witness_past_the_float_range(self):
+        # C = 1.5 is not an integer, so the comparison is not made in integers,
+        # and n_2 = 10**1204 has no float: logarithms decide, as n_2 > 1.5**3998
+        assert type_p_witness(LpSum(2, (1, 1.999), (2, 10**1204)), 2, 1.5)
+        assert not type_p_witness(LpSum(2, (1, 1.999), (2, 10**1204)), 2, 1e200)
+        assert type_p_witness(LpSum(2, (1, 1.999), (2, 10**1204)), 2, -1.0)
 
     def test_type_p_trivial_cases(self):
         assert not type_p_witness(LpSum(2.0, (1.0,), (1,)), 1, 1.0)
