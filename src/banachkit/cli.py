@@ -505,25 +505,29 @@ _COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``banachkit`` parser, declaring the options of ``command`` only,
-    or of every command when ``command`` is None.
+    """The ``banachkit`` parser for ``command`` only, or for every command
+    when ``command`` is None.
 
-    Every subcommand is added with its help either way, so the top-level
-    usage and ``--help`` do not depend on ``command``.
+    The top-level usage names every command either way, so the usage in an
+    error message does not depend on ``command``.
     """
     parser = argparse.ArgumentParser(prog="banachkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"banachkit {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
+    # with one choice, name all of them as argparse does; without a command,
+    # the metavar would also replace ``command`` in the "required" error
+    metavar = None if command is None else _COMMAND_METAVAR
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, handler, options in _COMMANDS:
-        sub = commands.add_parser(name, help=help_text)
         if command in (None, name):
+            sub = commands.add_parser(name, help=help_text)
             for flag, kwargs in options:
                 sub.add_argument(flag, **kwargs)
-        sub.set_defaults(fn=handler)
+            sub.set_defaults(fn=handler)
     return parser
 
 
 _COMMAND_NAMES = frozenset(name for name, _, _, _ in _COMMANDS)
+_COMMAND_METAVAR = "{" + ",".join(name for name, _, _, _ in _COMMANDS) + "}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

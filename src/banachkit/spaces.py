@@ -198,8 +198,15 @@ class SegmentIndex:
     offset: int
 
 
+def _float_exponent(q: float) -> float:
+    """``float(q)``, refusing a bool, which ``float`` would read as 0 or 1."""
+    if isinstance(q, bool):
+        raise InvalidSpecError(f"exponent {q} is not a number")
+    return float(q)
+
+
 def _check_exponent(p: float) -> float:
-    p = float(p)
+    p = _float_exponent(p)
     if not (1.0 <= p <= INF):
         raise InvalidSpecError(f"exponent p={p} outside [1, inf]")
     return p
@@ -314,10 +321,10 @@ class LpSum(_Space):
     _cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = float(self.p)
+        p = _float_exponent(self.p)
         if not (1.0 < p < INF):
             raise InvalidSpecError(f"outer exponent p={p} must lie in (1, inf)")
-        ps = tuple(float(q) for q in self.ps)
+        ps = tuple(_float_exponent(q) for q in self.ps)
         # an int, or a float without fractional part (not inf or NaN); not a bool
         if not all(type(n) is int or type(n) is float and n.is_integer() for n in self.ns):
             raise InvalidSpecError(f"segment dimensions must be integers, got {list(self.ns)}")

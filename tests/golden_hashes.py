@@ -12,7 +12,10 @@ compares ``random_block_tuple`` with the public-``Random``-method oracle of
 ``draw_oracle`` (vectors and generator state) at a few seeds and shapes,
 for ``Random`` and for a subclass that overrides only ``random()``, which
 checks on each interpreter that the draw makes the calls those methods
-make.  Prints one line per mismatch, then a summary line that ends with the
+make.  Then compares the subsets ``combinatorics._subsets_from`` gives with
+the sorted ``combinations`` of ``subset_oracle``: every ground set a table
+serves, and walks past the table limit, whole or their first entries.
+Prints one line per mismatch, then a summary line that ends with the
 line count of ``src/``, and exits 1 if there is any mismatch, else exits 0.
 Needs only the standard library, so it can check interpreters that have no
 pytest installed.  pytest does not collect this file, since its name does
@@ -39,10 +42,14 @@ except ImportError:
 import test_golden  # noqa: E402
 from banachkit.spaces import make_example_space  # noqa: E402
 from draw_oracle import RandomOverridingRandom, draw_mismatches  # noqa: E402
+from subset_oracle import subset_order_mismatches  # noqa: E402
 
 # (seed, max_n, max_block, constant_coefficients) for the draw differential;
 # max_block 30 draws samples whose set size exceeds the default shape's
 DRAW_SHAPES = [(0, 4, 5, False), (1, 2, 30, False), (7, 5, 12, True), (42, 3, 25, False)]
+
+# (lo, n, count) for subset walks past the table limit; count None is the whole walk
+SUBSET_WALKS = [(1, 16, None), (9, 16, None), (1, 20, 20000), (1, 40, 20000), (17, 40, 20000)]
 
 
 def main() -> int:
@@ -75,11 +82,18 @@ def main() -> int:
         mismatches = draw_mismatches(spec, seed, max_n, max_block, constant, rng_class)
         failures += mismatches
         draw_agree += not mismatches
+    subset_cases = [(lo, n, None) for n in range(16) for lo in range(1, n + 2)] + SUBSET_WALKS
+    subset_agree = 0
+    for lo, n, count in subset_cases:
+        mismatches = subset_order_mismatches(lo, n, count)
+        failures += mismatches
+        subset_agree += not mismatches
     for line in failures:
         print(line)
     print(f"{len(test_golden.GOLDEN) + 2 - hash_failures} of {len(test_golden.GOLDEN) + 2} hashes match, "
           f"{len(cases) + hash_failures - parser_failures} of {len(cases)} parser cases agree, "
-          f"{draw_agree} of {len(draw_cases)} draw cases agree "
+          f"{draw_agree} of {len(draw_cases)} draw cases, "
+          f"{subset_agree} of {len(subset_cases)} subset-order cases agree "
           f"on Python {sys.version.split()[0]}; src/ has "
           f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines")
     return 1 if failures else 0

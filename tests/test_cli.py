@@ -121,6 +121,9 @@ class TestNormCommand:
             ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[1e400]}', "segment dimensions must be integers, got [inf]\n"),
             ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[NaN]}', "segment dimensions must be integers, got [nan]\n"),
             ('{"kind":"lp_sum","p":2,"ps":[1],"ns":[true]}', "segment dimensions must be integers, got [True]\n"),
+            # nor is a bool read as the exponent 1 or 0
+            ('{"kind":"lp","p":true}', "exponent True is not a number\n"),
+            ('{"kind":"lp_sum","p":2,"ps":[true],"ns":[2]}', "exponent True is not a number\n"),
             ('{"kind":"lp","p":[2]}', "lp space document has a field of the wrong type: float() argument"),
             (
                 '{"kind":"interleave","a":{"kind":"c0"},"b":{"kind":"lp_sum","p":2,"ps":[1],"ns":3}}',
@@ -691,10 +694,10 @@ class TestOutputContracts:
         monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(real(command)) or built[-1])
         run_cli("norm", "--space", LP2, "--vector", "1:1")
         (commands,) = [a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction)]
-        declared = {name: [a.dest for a in sub._actions] for name, sub in commands.choices.items()}
-        assert declared.pop("norm") == ["help", "space", "vector", "seed", "format"]
-        assert len(declared) == 12
-        assert all(dests == ["help"] for dests in declared.values())
+        assert {name: [a.dest for a in sub._actions] for name, sub in commands.choices.items()} == {
+            "norm": ["help", "space", "vector", "seed", "format"]
+        }
+        assert built[0].format_usage() == real().format_usage()
 
     def test_json_reports_refuse_nan(self):
         args = argparse.Namespace(command="norm", format="json")

@@ -14,6 +14,7 @@ from banachkit.combinatorics import (
     FiniteSet,
     InvalidBlockingError,
     SearchCertificate,
+    _TABLE_LIMIT,
     _arity_tuples,
     _subsets_from,
     coarsen_by_indices,
@@ -36,6 +37,7 @@ from banachkit.combinatorics import (
 )
 
 from conftest import count_coarsenings_bruteforce
+from subset_oracle import sorted_subsets, subset_order_mismatches
 
 
 def B(text):
@@ -622,9 +624,22 @@ def same_certificate(a, b):
 
 class TestEnumerationAgainstRecursiveOracle:
     def test_subset_tables(self):
-        for n in range(0, 11):
+        # every ground set a table serves, against the recursion and the
+        # sorted combinations
+        assert _TABLE_LIMIT == 1 << 15
+        for n in range(0, 16):
             for lo in range(1, n + 2):
-                assert list(_subsets_from(lo, n)) == list(oracle_subsets_lex(tuple(range(lo, n + 1))))
+                got = list(_subsets_from(lo, n))
+                assert got == list(oracle_subsets_lex(tuple(range(lo, n + 1))))
+                assert got == sorted_subsets(lo, n)
+
+    @pytest.mark.parametrize("lo, n, count", [(1, 16, None), (9, 16, None), (1, 40, 20000), (17, 40, 20000)])
+    def test_subset_walks(self, lo, n, count):
+        assert not isinstance(_subsets_from(lo, n), tuple)
+        assert subset_order_mismatches(lo, n, count) == []
+        assert list(islice(_subsets_from(lo, n), count)) == list(
+            islice(oracle_subsets_lex(tuple(range(lo, n + 1))), count)
+        )
 
     def test_arity_tables(self):
         for j in range(1, 13):
@@ -632,9 +647,6 @@ class TestEnumerationAgainstRecursiveOracle:
                 assert list(_arity_tuples(j, k)) == list(oracle_arity_tuples_with_last(j, k))
 
     def test_large_ground_sets_are_enumerated_lazily(self):
-        subsets = _subsets_from(1, 40)
-        assert not isinstance(subsets, tuple)
-        assert list(islice(subsets, 4)) == [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
         metas = _arity_tuples(40, 2)
         assert not isinstance(metas, tuple)
         assert list(islice(metas, 3)) == list(islice(oracle_arity_tuples_with_last(40, 2), 3))

@@ -41,7 +41,7 @@ the drawn blocks, vectors, coefficients, norms and bounds that the
 ``verify-example-space`` goldens, whose trials all pass, do not print; it was
 taken before the ``LpSum`` norm summed each segment as one run of equal keys
 instead of gathering segment masses in a dict.
-``main`` declares only the invoked command's options, so ``parser_cases``
+``main`` builds only the invoked command's subparser, so ``parser_cases``
 runs five argument lists per command through ``main`` and through the full
 ``build_parser()``, which must agree in exit code, stdout and stderr.  ``tests/golden_hashes.py`` checks all
 of them without pytest.
