@@ -32,7 +32,9 @@ from .combinatorics import (
     Coloring,
     FiniteSet,
     _Report,
+    _check_at_least,
     _coarsening_colors,
+    _table,
     milliken_taylor_search,
     ramsey_search,
 )
@@ -191,13 +193,7 @@ class GoodnessReport(_Report):
         return super().to_doc() | {"max_oscillation": self.max_oscillation()}
 
     def to_rows(self) -> list[list]:
-        header = ["coeffs", "K", "H", "sup", "inf", "oscillation", "estimate"]
-        rows = [header]
-        for r in self.records:
-            rows.append(
-                [";".join(repr(c) for c in r.coeffs), r.K, r.H, r.sup, r.inf, r.oscillation, r.estimate]
-            )
-        return rows
+        return _table(self.records, ("coeffs", "K", "H", "sup", "inf", "oscillation", "estimate"))
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -308,12 +304,7 @@ class SpreadingEstimate(_Report):
         return super().to_doc() | {"fit_p": _p_doc(self.fit_p)}
 
     def to_rows(self) -> list[list]:
-        rows = [["coeffs", "horizon", "H", "estimate", "oscillation"]]
-        for r in self.records:
-            rows.append(
-                [";".join(repr(c) for c in r.coeffs), r.horizon, r.H, r.estimate, r.oscillation]
-            )
-        return rows
+        return _table(self.records, ("coeffs", "horizon", "H", "estimate", "oscillation"))
 
 
 def spreading_model_estimate(
@@ -592,8 +583,7 @@ def brunel_sucheston_extract(
             raise ValueError("extraction requires normalized input vectors")
     if target_len is None:
         target_len = max(2, len(vectors) // 2)
-    elif target_len < 1:
-        raise ValueError(f"target_len must be >= 1, got {target_len}")
+    _check_at_least("target_len", target_len, 1)
 
     def eps_of(m: int) -> float:
         if eps_schedule is None:
@@ -889,8 +879,7 @@ def krivine_p_estimate(spec: SpaceSpec, max_n: int, start: int = 1) -> KrivineRe
     """
     if max_n < 4:
         raise ValueError("need max_n >= 4 for a meaningful fit")
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
+    _check_at_least("start", start, 1)
     blocking = Blocking([FiniteSet([start + i]) for i in range(max_n)])
     parts = [spec.coordinates(y) for y in nccb_from_blocking(spec, blocking)]
     # the singletons are disjoint, so each prefix sum has exactly their
@@ -1053,8 +1042,7 @@ def verify_example_space(
     are those of ``random_block_tuple`` at its default shape; a space too
     short to hold them is rejected before any is drawn.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_at_least("trials", trials, 0)
     spec = make_example_space(p, len(ps), ps)
     max_n, max_block = 4, 5
     reach = _block_tuple_reach(max_n, max_block)

@@ -51,7 +51,7 @@ from .combinatorics import (
     verify_ramsey_certificate,
 )
 from .games import asymptotic_lp_verdict, play, strategy_from_name
-from .spaces import Interleave, Lp, SparseVector, space_from_doc
+from .spaces import Interleave, InvalidVectorError, Lp, SparseVector, space_from_doc
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -67,12 +67,28 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _read_json(option: str, form: str, text: str | None = None, path: str | None = None):
+    """JSON decoded from ``text``, or from the file at ``path``; what is not
+    JSON is refused naming ``option``, the file, and the ``form`` it takes."""
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        source = option if path is None else f"{option} file {path!r}"
+        raise ValueError(f"{source} is not valid JSON ({exc}); it takes {form}") from None
+
+
+_SPACE_FORM = 'a space document such as {"kind": "lp", "p": 2}, inline or in a file'
+_VECTORS_FORM = "a list of vectors, each a list of [index, coefficient] pairs"
+
+
 def _load_space(text: str):
     if text.lstrip().startswith(("{", "[")):
-        doc = json.loads(text)
+        doc = _read_json("--space", _SPACE_FORM, text)
     else:
-        with open(text, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = _read_json("--space", _SPACE_FORM, path=text)
     return space_from_doc(doc)
 
 
@@ -109,9 +125,15 @@ def _sequence_from_args(spec, args) -> list[SparseVector]:
     if getattr(args, "blocking", None):
         return list(nccb_from_blocking(spec, Blocking.parse(args.blocking)))
     if getattr(args, "vectors", None):
-        with open(args.vectors, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        return [SparseVector.from_pairs(pairs) for pairs in doc]
+        doc = _read_json("--vectors", _VECTORS_FORM, path=args.vectors)
+        if type(doc) is list:
+            try:
+                return [SparseVector.from_pairs(pairs) for pairs in doc]
+            except InvalidVectorError:  # already names its fault
+                raise
+            except (TypeError, ValueError):
+                pass
+        raise ValueError(f"--vectors file {args.vectors!r} does not hold {_VECTORS_FORM}")
     raise UsageError("provide a sequence via --blocking or --vectors")
 
 
@@ -155,7 +177,8 @@ def _emit(args, report, rows: list[list] | None = None) -> None:
 
     ``report`` is a result dict, written as CSV through ``rows`` when given
     and as key/value rows otherwise, or a report whose ``to_doc`` gives the
-    result and whose ``to_rows`` gives the CSV table.
+    result and whose ``to_rows`` gives the CSV table.  A report that would
+    hold an infinite or NaN number is refused, and nothing is written.
     """
     command = args.command
     # every option of the parsed subcommand, keyed by its option name
@@ -168,20 +191,44 @@ def _emit(args, report, rows: list[list] | None = None) -> None:
             "config": config,
             "result": report if isinstance(report, dict) else report.to_doc(),
         }
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, allow_nan=False))
+        try:
+            text = json.dumps(envelope, sort_keys=True, allow_nan=False)
+        except ValueError:
+            _check_finite("field config", config)
+            _check_finite("field result", envelope["result"])
+            raise
+        sys.stdout.write(text)
         sys.stdout.write("\n")
     else:
-        sys.stdout.write(f"# banachkit {__version__} {command}\n")
-        sys.stdout.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        _check_finite("field config", config)
         if isinstance(report, dict):
+            _check_finite("field result", report)
             table = rows if rows is not None else _flatten_rows(report)
         else:
             table = report.to_rows()
+            for number, row in enumerate(table[1:], 1):
+                for name, value in zip(table[0], row):
+                    _check_finite(f"column {name} in row {number}", value)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         for row in table:
             writer.writerow(row)
+        sys.stdout.write(f"# banachkit {__version__} {command}\n")
+        sys.stdout.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         sys.stdout.write(buffer.getvalue())
+
+
+def _check_finite(where: str, value) -> None:
+    """Refuse ``value`` if it is or holds an infinite or NaN float, naming
+    where (dict keys walked in sorted order, as reports print them)."""
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"report {where} is {value!r}; a JSON or CSV report holds only finite numbers")
+    if type(value) is dict:
+        for key in sorted(value):
+            _check_finite(f"{where}.{key}", value[key])
+    elif type(value) is list or type(value) is tuple:
+        for i, item in enumerate(value):
+            _check_finite(f"{where}[{i}]", item)
 
 
 def _flatten_rows(result: dict) -> list[list]:
@@ -300,22 +347,24 @@ def _cmd_stabilized(args) -> int:
     return EXIT_OK
 
 
+def _emit_search(args, cert, verify) -> int:
+    """Emit a search certificate with ``certificate_verified``: ``verify(cert)``
+    when a witness was found, else True; a failed check exits 1."""
+    sound = verify(cert) if cert.found else True
+    _emit(args, cert.to_doc() | {"certificate_verified": sound})
+    return EXIT_OK if sound else EXIT_CHECKS_FAILED
+
+
 def _cmd_ramsey(args) -> int:
     coloring = _coloring_from_args(args, "set", args.M)
     cert = ramsey_search(coloring, args.k, args.L)
-    sound = verify_ramsey_certificate(coloring, args.k, cert) if cert.found else True
-    result = cert.to_doc() | {"certificate_verified": sound}
-    _emit(args, result)
-    return EXIT_OK if sound else EXIT_CHECKS_FAILED
+    return _emit_search(args, cert, lambda cert: verify_ramsey_certificate(coloring, args.k, cert))
 
 
 def _cmd_hindman(args) -> int:
     coloring = _coloring_from_args(args, "set", args.M)
     cert = hindman_search(coloring, args.M, args.L)
-    sound = verify_hindman_certificate(coloring, cert) if cert.found else True
-    result = cert.to_doc() | {"certificate_verified": sound}
-    _emit(args, result)
-    return EXIT_OK if sound else EXIT_CHECKS_FAILED
+    return _emit_search(args, cert, lambda cert: verify_hindman_certificate(coloring, cert))
 
 
 def _cmd_milliken(args) -> int:
@@ -330,10 +379,7 @@ def _cmd_milliken(args) -> int:
     ground = P[-1].max()
     coloring = _coloring_from_args(args, "blocking", ground, spec=spec, arity=args.k)
     cert = milliken_taylor_search(coloring, P, args.k, args.L)
-    sound = verify_milliken_taylor_certificate(coloring, args.k, cert) if cert.found else True
-    result = cert.to_doc() | {"certificate_verified": sound}
-    _emit(args, result)
-    return EXIT_OK if sound else EXIT_CHECKS_FAILED
+    return _emit_search(args, cert, lambda cert: verify_milliken_taylor_certificate(coloring, args.k, cert))
 
 
 def _cmd_stabilize_nccb(args) -> int:

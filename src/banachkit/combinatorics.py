@@ -88,6 +88,21 @@ class _Report:
         return {name: _doc(getattr(self, name)) for name in _field_names(type(self))}
 
 
+def _table(records, names: tuple[str, ...]) -> list[list]:
+    """A CSV table: the header ``names``, then each record's attributes of
+    those names, with a ``coeffs`` tuple written as its ``;``-joined reprs."""
+    return [list(names)] + [
+        [";".join(map(repr, r.coeffs)) if name == "coeffs" else getattr(r, name) for name in names]
+        for r in records
+    ]
+
+
+def _check_at_least(name: str, value: int, least: int) -> None:
+    """Refuse a count ``value`` below ``least``, naming it as ``name``."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -741,8 +756,7 @@ def size_parity_coloring(ground: int) -> Coloring:
 
 
 def constant_coloring(ground: int, value: int = 0, kind: str = "set", arity: int | None = None) -> Coloring:
-    if value < 0:
-        raise ValueError(f"constant color must be >= 0, got {value}")
+    _check_at_least("constant color", value, 0)
     fn = (lambda E: value) if kind == "set" else (lambda blocks: value)
     return Coloring(
         kind=kind, colors=value + 1, ground=ground, fn=fn, arity=arity, name="constant"

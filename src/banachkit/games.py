@@ -26,7 +26,7 @@ from .analysis import (
     goodness_test,
 )
 from .blockseq import BlockSequence, BlockTree, branch
-from .combinatorics import _Report
+from .combinatorics import _Report, _check_at_least, _table
 from .spaces import InvalidVectorError, SparseVector, SpaceSpec, _check_exponent, _p_doc
 
 __all__ = [
@@ -99,15 +99,13 @@ class Strategy:
 
 
 def subspace_constant(m: int) -> Strategy:
-    if m < 1:
-        raise ValueError(f"constant cutoff m must be >= 1, got {m}")
+    _check_at_least("constant cutoff m", m, 1)
     return Strategy("subspace-player", f"constant:{m}", lambda rounds, spec: m)
 
 
 def subspace_tail(lead: int = 1) -> Strategy:
     """Cutoff one past the maximum support seen, plus an optional lead."""
-    if lead < 0:
-        raise ValueError(f"tail lead must be >= 0, got {lead}")
+    _check_at_least("tail lead", lead, 0)
 
     def rule(rounds, spec) -> int:
         if not rounds:
@@ -135,8 +133,7 @@ def vector_unit() -> Strategy:
 
 def vector_nccb(width: int = 2) -> Strategy:
     """Play the normalized indicator of the next admissible index window."""
-    if width < 1:
-        raise ValueError(f"nccb width must be >= 1, got {width}")
+    _check_at_least("nccb width", width, 1)
     return _vector_strategy(f"nccb:{width}", lambda j: SparseVector.indicator(range(j, j + width)))
 
 
@@ -206,8 +203,7 @@ def play(spec: SpaceSpec, subspace: Strategy, vector: Strategy, n: int) -> GameT
         raise ProtocolViolationError("subspace-player", f"strategy {subspace.name} has wrong role")
     if vector.role != "vector-player":
         raise ProtocolViolationError("vector-player", f"strategy {vector.name} has wrong role")
-    if n < 0:
-        raise ValueError(f"rounds must be >= 0, got {n}")
+    _check_at_least("rounds", n, 0)
     rounds: list[tuple[int, SparseVector]] = []
     for _ in range(n):
         cutoff = subspace.rule(list(rounds), spec)
@@ -309,40 +305,6 @@ class AsymptoticReport(_Report):
     net: ScalarNet
 
 
-# each block's ``spec.coordinates``, in tuple order
-_CoordinateClass = tuple[tuple[tuple[object, float], ...], ...]
-
-
-def _max_constant(
-    spec: SpaceSpec,
-    reference: LpReference,
-    pool: Sequence[BlockSequence],
-    net: ScalarNet,
-    scans: dict[_CoordinateClass, EquivalenceReport],
-) -> tuple[float, BlockSequence, EquivalenceReport]:
-    """Worst tuple of ``pool``, the first in pool order to reach the maximum.
-
-    ``scans`` keeps one scan per coordinate class for reuse: pool tuples
-    whose blocks have the same ``spec.coordinates`` share one report.
-    """
-    best = None
-    for seq in pool:
-        # The scan reads ``seq`` only through ``CombinationNorm(spec, seq).parts``
-        # (``unconditional`` is derived from it) and ``spec.norm(v)``, which is
-        # ``coordinate_norm(coordinates(v))``.  A BlockSequence has successive
-        # supports, so both are functions of this key and a class's tuples
-        # get equal reports.  Every pool vector was normed when the pool was
-        # built, so the key cannot raise.  The strict ``>`` below keeps the
-        # certificate the first tuple in pool order to reach the maximum.
-        key = tuple(tuple(spec.coordinates(v)) for v in seq)
-        if key not in scans:
-            scans[key] = equivalence_constant(spec, seq, reference, net=net)
-        report = scans[key]
-        if best is None or report.constant > best[0]:
-            best = (report.constant, seq, report)
-    return best
-
-
 def stabilized_constant(
     spec: SpaceSpec,
     p: float,
@@ -382,10 +344,7 @@ class AsymptoticVerdict(_Report):
         return super().to_doc() | {"p": _p_doc(self.p)}
 
     def to_rows(self) -> list[list]:
-        out = [["N", "constant", "pool_size"]]
-        for r in self.rows:
-            out.append([r.N, r.constant, r.pool_size])
-        return out
+        return _table(self.rows, ("N", "constant", "pool_size"))
 
 
 def asymptotic_lp_verdict(
@@ -410,32 +369,45 @@ def asymptotic_lp_verdict(
     """
     if not schedule:
         raise ValueError("need a nonempty cutoff schedule")
-    if min(schedule) < 1:
-        raise ValueError(f"schedule cutoffs must be >= 1, got {min(schedule)}")
+    _check_at_least("schedule cutoffs", min(schedule), 1)
     _check_epsilon(epsilon)
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    _check_at_least("samples", samples, 0)
+    _check_at_least("n", n, 1)
+    _check_at_least("window", window, 0)
     reference = LpReference(p, n)
     schedule = sorted(schedule)
     if net is None:
         net = ScalarNet.grid(step=0.25, max_len=n)
     lo, hi = schedule[0], schedule[-1] + window
     pool = _tuple_pool(spec, n, lo, hi, seed, samples)
-    scans: dict[_CoordinateClass, EquivalenceReport] = {}  # shared by all cutoffs
+    # Every pool tuple is supported past the first cutoff, so each is scanned
+    # here, in pool order, and the rows only pick among the reports.
+    scans: dict[tuple, EquivalenceReport] = {}
+    reports = []
+    for seq in pool:
+        # The scan reads ``seq`` only through ``CombinationNorm(spec, seq).parts``
+        # (``unconditional`` is derived from it) and ``spec.norm(v)``, which is
+        # ``coordinate_norm(coordinates(v))``.  A BlockSequence has successive
+        # supports, so both are functions of this key (each block's
+        # coordinates, in tuple order) and tuples with one key get equal
+        # reports.  Every pool vector was normed when the pool was built, so
+        # the key cannot raise.
+        key = tuple(tuple(spec.coordinates(v)) for v in seq)
+        if key not in scans:
+            scans[key] = equivalence_constant(spec, seq, reference, net=net)
+        reports.append(scans[key])
     rows = []
     for N in schedule:
-        eligible = [seq for seq in pool if seq[0].min_index() >= N]
+        eligible = [i for i, seq in enumerate(pool) if seq[0].min_index() >= N]
         if not eligible:
             raise ValueError(f"no sampled tuples supported past N={N}")
-        constant, certificate, report = _max_constant(spec, reference, eligible, net, scans)
+        # max keeps the first index to reach the maximum, so the certificate
+        # is the first tuple in pool order with the worst constant
+        best = max(eligible, key=lambda i: reports[i].constant)
         rows.append(
             AsymptoticReport(
-                n=n, N=N, constant=constant, certificate=certificate,
-                certificate_report=report, window=window, seed=seed,
+                n=n, N=N, constant=reports[best].constant, certificate=pool[best],
+                certificate_report=reports[best], window=window, seed=seed,
                 samples=samples, pool_size=len(eligible), net=net,
             )
         )
@@ -487,51 +459,40 @@ def good_branch_extract(
     not certified.  The branch is post-verified with the goodness test.
     """
     _check_exponent(p)
-    for name, value, least in (
-        ("lead_samples", lead_samples, 0), ("lead_window", lead_window, 0), ("lead_max_n", lead_max_n, 1),
-    ):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    _check_at_least("lead_samples", lead_samples, 0)
+    _check_at_least("lead_window", lead_window, 0)
+    _check_at_least("lead_max_n", lead_max_n, 1)
     if eps_rule is None:
         eps_rule = lambda n: 1.0 / n
     if net is None:
         net = ScalarNet.grid(step=0.5, max_len=2)
     horizon = max(v.max_index() for v in tree.nodes.values()) if tree.nodes else 1
 
-    lead_cache: dict[int, int | None] = {}
-
-    def stabilization_lead(n: int) -> int | None:
-        if n not in lead_cache:
-            tol = eps_rule(n)
-            n_eff = min(n, lead_max_n)
-            found = None
-            N = 1
-            while N <= horizon:
-                try:
-                    report = stabilized_constant(
-                        spec, p, n_eff, N, window=lead_window,
-                        net=ScalarNet.grid(step=1.0, max_len=n_eff),
-                        seed=seed, samples=lead_samples,
-                    )
-                except InvalidVectorError:  # the sample window ran past a finite space
-                    break
-                if report.constant <= 1.0 + tol:
-                    found = N
-                    break
-                N *= 2
-            lead_cache[n] = found
-        return lead_cache[n]
-
     path: list[int] = []
     complete = True
-    all_leads_found = True
+    leads: dict[str, int | None] = {}
     for step in range(1, tree.depth + 1):
-        lead = stabilization_lead(step)
-        if lead is None:
-            all_leads_found = False
-            lead = 1
+        # the stabilization lead: the first N on the doubling schedule whose
+        # sampled constant is within this step's tolerance, else None
+        tol = eps_rule(step)
+        n_eff = min(step, lead_max_n)
+        lead_net = ScalarNet.grid(step=1.0, max_len=n_eff)
+        lead = None
+        N = 1
+        while N <= horizon:
+            try:
+                report = stabilized_constant(
+                    spec, p, n_eff, N, window=lead_window, net=lead_net, seed=seed, samples=lead_samples
+                )
+            except InvalidVectorError:  # the sample window ran past a finite space
+                break
+            if report.constant <= 1.0 + tol:
+                lead = N
+                break
+            N *= 2
+        leads[str(step)] = lead
         past = tree.nodes[tuple(path)].max_index() if path else 0
-        cutoff = max(past + 1, lead)
+        cutoff = max(past + 1, lead or 1)
         children = tree.children(tuple(path))
         chosen = None
         for key in children:
@@ -548,7 +509,7 @@ def good_branch_extract(
     result_branch = branch(tree, path)
     final_eps = eps_rule(len(result_branch))
     goodness = goodness_test(spec, list(result_branch), net, K=1, epsilon=final_eps)
-    certified = complete and all_leads_found and goodness.verdict == VERDICT_GOOD
+    certified = complete and None not in leads.values() and goodness.verdict == VERDICT_GOOD
     return BranchExtraction(
         branch=result_branch,
         path=tuple(path),
@@ -557,7 +518,7 @@ def good_branch_extract(
         goodness=goodness,
         metadata={
             "cutoff_rule": "stabilized-constant-lead",
-            "leads": {str(n): lead_cache[n] for n in sorted(lead_cache)},
+            "leads": leads,
             "lead_max_n": lead_max_n,
             "note": (
                 "abstract subspace strategies realized as sampled stabilization "

@@ -149,6 +149,96 @@ class TestNormCommand:
         assert out == "" and "JSON" in err
 
 
+LP1 = '{"kind":"lp","p":1}'
+FINITE_ONLY = "; a JSON or CSV report holds only finite numbers\n"
+
+
+class TestFaultsAreNamed:
+    """Reports that would hold an infinite or NaN number, and JSON inputs
+    that are not of the form their option takes, exit 2 naming the fault."""
+
+    @pytest.mark.parametrize(
+        "argv, json_where, csv_where",
+        [
+            (["norm", "--space", LP1, "--vector", "1:1e308,2:1e308"], "field result.norm", "field result.norm"),
+            (
+                [
+                    "spreading", "--space", LP1, "--vectors", "HUGE", "--horizons", "1", "--window", "1",
+                    "--max-n", "2", "--net-step", "1",
+                ],
+                "field result.records[0].estimate", "column estimate in row 1",
+            ),
+            (
+                ["goodness", "--space", LP1, "--vectors", "HUGE", "--horizon", "1,2", "--max-n", "1", "--net-step", "1"],
+                "field result.records[0].estimate", "column estimate in row 1",
+            ),
+            (
+                ["equivalence", "--space", LP1, "--vectors", "HUGE", "--ref-n", "2"],
+                "field result.constant", "field result.constant",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_report_is_refused(self, tmp_path, argv, json_where, csv_where, fmt):
+        # three coefficients of 1e308: each finite, their l_1 sums not
+        path = tmp_path / "vectors.json"
+        path.write_text("[[[1,1e308]],[[2,1e308]],[[3,1e308]]]")
+        code, out, err = run_cli(*[str(path) if a == "HUGE" else a for a in argv], "--format", fmt)
+        where = json_where if fmt == "json" else csv_where
+        assert (code, out, err) == (2, "", f"config error: report {where} is inf{FINITE_ONLY}")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_option_is_refused(self, fmt):
+        # --quantum is unused by this coloring, so only the report sees it
+        argv = ["milliken", "--coloring", "first-min-parity", "--P", "singletons:5", "--k", "2", "--L", "2"]
+        code, out, err = run_cli(*argv, "--quantum", "nan", "--format", fmt)
+        assert (code, out, err) == (2, "", f"config error: report field config.quantum is nan{FINITE_ONLY}")
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ('{"a":1}', "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ("5", "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ('[[[1,1]],[[2,"x"]]]', "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ("[[[1,1]],[[2,1,3]]]", "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            (
+                "[[[1,1]],",
+                "is not valid JSON (Expecting value: line 1 column 10 (char 9)); it takes a list of vectors, "
+                "each a list of [index, coefficient] pairs",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_vectors_not_of_their_form_are_refused(self, tmp_path, text, fault, fmt):
+        path = tmp_path / "vectors.json"
+        path.write_text(text)
+        code, out, err = run_cli("equivalence", "--space", LP2, "--vectors", str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", f"config error: --vectors file {str(path)!r} {fault}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_space_file_that_is_not_json_is_refused(self, tmp_path, fmt):
+        path = tmp_path / "space.json"
+        path.write_text('{"kind": "lp", "p": 2')
+        code, out, err = run_cli("norm", "--space", str(path), "--vector", "1:1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"config error: --space file {str(path)!r} is not valid JSON (Expecting ',' delimiter: "
+            "line 1 column 22 (char 21)); it takes a space document such as "
+            '{"kind": "lp", "p": 2}, inline or in a file\n'
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[[[0,1]]]", "index 0 is not a positive integer"), ("[[[1,1e400]]]", "coefficient inf is not finite")],
+    )
+    def test_vector_faults_named_already_keep_their_text(self, tmp_path, fmt, text, message):
+        path = tmp_path / "vectors.json"
+        path.write_text(text)
+        code, out, err = run_cli("equivalence", "--space", LP2, "--vectors", str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 class TestVerifyExampleSpace:
     def test_passes_with_exit_zero(self):
         code, doc = run_json("verify-example-space", "--trials", "60", "--seed", "5")
@@ -550,6 +640,17 @@ class TestAnalysisCommands:
                 ["equivalence", "--space", LP2, "--blocking", "1|2|3", "--max-n", "2"],
                 "unrecognized arguments: --max-n",
             ),
+            (
+                ["equivalence", "--space", "{bad", "--blocking", "1|2|3"],
+                "config error: --space is not valid JSON (Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)); it takes a space document such as "
+                '{"kind": "lp", "p": 2}, inline or in a file\n',
+            ),
+            (
+                ["equivalence", "--space", "{bad", "--blocking", "1|2|3", "--format", "csv"],
+                "config error: --space is not valid JSON (Expecting property name",
+            ),
+            (["norm", "--space", "[1,", "--vector", "1:1"], "config error: --space is not valid JSON (Expecting value"),
         ],
     )
     def test_count_below_its_minimum_is_usage_error(self, monkeypatch, argv, message):

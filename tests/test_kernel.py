@@ -689,7 +689,7 @@ class TestAsymptoticMemo:
         assert verdict.rows[0].pool_size == len(pool) == 279
         assert len(scanned) == len({lp_class(seq) for seq in pool}) == 40
 
-    def test_james_tuples_of_equal_shape_are_not_shared(self, scanned):
+    def test_james_tuples_of_equal_shape_are_not_shared(self, scanned, monkeypatch):
         # the same coefficients at 1, 2 and at 5, 6: James measures the gap
         # before a support, so the two tuples have different reports
         spec = James()
@@ -697,14 +697,15 @@ class TestAsymptoticMemo:
             BlockSequence([SparseVector({1: 1.0}), SparseVector({2: -0.5})]),
             BlockSequence([SparseVector({5: 1.0}), SparseVector({6: -0.5})]),
         ]
+        monkeypatch.setattr(games, "_tuple_pool", lambda *args: pool)
         net = ScalarNet.grid(step=0.25, max_len=2)
         reference = LpReference(2.0, 2)
-        scans = {}
-        games._max_constant(spec, reference, pool, net, scans)
-        assert scanned == pool and len(scans) == 2
+        verdict = asymptotic_lp_verdict(spec, 2.0, 2, [1, 5], epsilon=0.05, net=net)
+        assert scanned == pool
         first, second = (equivalence_oracle(spec, seq, reference, net) for seq in pool)
         assert first != second
-        assert list(scans.values()) == [first, second]
+        worst = first if first.constant >= second.constant else second
+        assert [row.certificate_report for row in verdict.rows] == [worst, second]
 
 
 class TestQuantizedColoring:

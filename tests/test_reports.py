@@ -43,6 +43,7 @@ from banachkit.combinatorics import (
     Blocking,
     FiniteSet,
     SearchCertificate,
+    constant_coloring,
     hindman_search,
     milliken_taylor_search,
     min_parity_coloring,
@@ -55,9 +56,14 @@ from banachkit.games import (
     BranchExtraction,
     asymptotic_lp_verdict,
     good_branch_extract,
+    play,
     stabilized_constant,
+    subspace_constant,
+    subspace_tail,
+    vector_nccb,
+    vector_unit,
 )
-from banachkit.spaces import C0, Interleave, James, Lp, LpSum
+from banachkit.spaces import C0, Interleave, James, Lp, LpSum, SparseVector
 
 PARENT_TO_DOC = {}
 
@@ -391,3 +397,44 @@ def test_exponents_are_the_only_fields_written_as_inf():
     assert LpReference(math.inf, 2).describe()["p"] == "inf"
     goodness = goodness_test(C0(), seq, ScalarNet.of([(1.0,)]), K=1, H=2)
     assert dataclasses.replace(goodness, epsilon=math.inf).to_doc()["epsilon"] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# Count bounds: every library refusal of a count below its least value, with
+# its exact text.
+# ---------------------------------------------------------------------------
+
+def small_tree():
+    return subsequence_tree([SparseVector.unit(i) for i in range(1, 5)], 2, 2)
+
+
+COUNT_BOUND_REFUSALS = [
+    (lambda: brunel_sucheston_extract(Lp(2.0), [], ScalarNet.of([(1.0,)]), target_len=0),
+     "target_len must be >= 1, got 0"),
+    (lambda: krivine_p_estimate(Lp(2.0), 6, start=0), "start must be >= 1, got 0"),
+    (lambda: verify_example_space(2.0, [1.0], -1), "trials must be >= 0, got -1"),
+    (lambda: constant_coloring(3, -1), "constant color must be >= 0, got -1"),
+    (lambda: subspace_constant(0), "constant cutoff m must be >= 1, got 0"),
+    (lambda: subspace_tail(-2), "tail lead must be >= 0, got -2"),
+    (lambda: vector_nccb(0), "nccb width must be >= 1, got 0"),
+    (lambda: play(Lp(2.0), subspace_tail(), vector_unit(), -1), "rounds must be >= 0, got -1"),
+    (lambda: asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [5, 0, 3], 0.1), "schedule cutoffs must be >= 1, got 0"),
+    (lambda: asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [1], 0.1, samples=-1), "samples must be >= 0, got -1"),
+    (lambda: asymptotic_lp_verdict(Lp(2.0), 2.0, 0, [1], 0.1), "n must be >= 1, got 0"),
+    (lambda: asymptotic_lp_verdict(Lp(2.0), 2.0, 2, [1], 0.1, window=-3), "window must be >= 0, got -3"),
+    (lambda: good_branch_extract(small_tree(), Lp(2.0), 2.0, lead_samples=-1),
+     "lead_samples must be >= 0, got -1"),
+    (lambda: good_branch_extract(small_tree(), Lp(2.0), 2.0, lead_window=-1),
+     "lead_window must be >= 0, got -1"),
+    (lambda: good_branch_extract(small_tree(), Lp(2.0), 2.0, lead_max_n=0),
+     "lead_max_n must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", COUNT_BOUND_REFUSALS, ids=[m.split(" must")[0] for _, m in COUNT_BOUND_REFUSALS]
+)
+def test_count_bound_refusals_keep_their_text(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
