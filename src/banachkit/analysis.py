@@ -113,9 +113,8 @@ class ScalarNet:
         values = [i * step for i in range(-k, k + 1)]
         tuples = []
         for n in range(1, max_len + 1):
-            for t in itertools.product(values, repeat=n):
-                if any(c != 0.0 for c in t):
-                    tuples.append(t)
+            # bool(c) is c != 0.0 for every float, so any() drops the zero tuples
+            tuples.extend(filter(any, itertools.product(values, repeat=n)))
         return cls(tuples=tuple(tuples), step=step, max_len=max_len)
 
     @classmethod
@@ -468,6 +467,12 @@ def equivalence_constant(
     sphere.  Tuples of reference norm 0 are skipped (the grid has none); a
     net with no other tuple of length n raises ``ValueError``, and so does a
     tuple whose combination of the sequence has norm 0.
+
+    Each representative's reference norm is computed once per reference:
+    they are memoized on the reference instance, keyed by the
+    representatives tuple and kept outside the fields (as
+    ``ScalarNet.representatives`` keeps its cache), so equality, hashing,
+    ``repr`` and ``describe()`` ignore the memo.
     """
     n = reference.n
     seq = list(seq)
@@ -489,11 +494,17 @@ def equivalence_constant(
     if not reps:
         raise ValueError(f"net contains no tuples of length {n}")
 
+    # Exact, since coeff_norm is a pure function of the reference and t.  The
+    # list is extended in scan order, so a scan that raises part way raises
+    # where computing each norm afresh would.
+    r_norms = reference.__dict__.setdefault("_coeff_norms", {}).setdefault(reps, [])
     best_upper = -math.inf
     best_lower = -math.inf
     arg_upper = arg_lower = reps[0]
-    for t in reps:
-        r_norm = reference.coeff_norm(t)
+    for i, t in enumerate(reps):
+        if i == len(r_norms):
+            r_norms.append(reference.coeff_norm(t))
+        r_norm = r_norms[i]
         if not r_norm > 0.0:
             continue
         s_norm = norm_of(t, positions)

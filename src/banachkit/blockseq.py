@@ -239,10 +239,18 @@ class CombinationNorm:
         self._windows: dict = {}
 
     def __call__(self, coeffs: Sequence[float], positions: Sequence[int]) -> float:
+        """The norm of ``sum_i coeffs[i] * seq[positions[i] - 1]``.
+
+        A call with as many positions as vectors passes ``parts`` itself:
+        strictly increasing positions inside 1..len(seq) are then exactly
+        1..len(seq).
+        """
         parts = self.parts
         if parts is None:
             return self.spec.norm(combine(self.seq, coeffs, positions))
-        return combination_norm(self.spec, coeffs, [parts[k - 1] for k in positions])
+        if len(positions) != len(parts):
+            parts = [parts[k - 1] for k in positions]
+        return combination_norm(self.spec, coeffs, parts)
 
     def window_extremes(self, coeffs: Sequence[float], K: int, H: int) -> tuple[float, float]:
         """(sup, inf) of the values over the increasing len(coeffs)-tuples of

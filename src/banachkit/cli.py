@@ -51,7 +51,7 @@ from .combinatorics import (
     verify_ramsey_certificate,
 )
 from .games import asymptotic_lp_verdict, play, strategy_from_name
-from .spaces import Interleave, InvalidVectorError, Lp, SparseVector, space_from_doc
+from .spaces import Interleave, Lp, SparseVector, _PairFormError, space_from_doc
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -129,9 +129,7 @@ def _sequence_from_args(spec, args) -> list[SparseVector]:
         if type(doc) is list:
             try:
                 return [SparseVector.from_pairs(pairs) for pairs in doc]
-            except InvalidVectorError:  # already names its fault
-                raise
-            except (TypeError, ValueError):
+            except (_PairFormError, TypeError):  # other vector faults name themselves
                 pass
         raise ValueError(f"--vectors file {args.vectors!r} does not hold {_VECTORS_FORM}")
     raise UsageError("provide a sequence via --blocking or --vectors")

@@ -236,14 +236,22 @@ def play(spec: SpaceSpec, subspace: Strategy, vector: Strategy, n: int) -> GameT
 def _structured_tuples(
     spec: SpaceSpec, n: int, lo: int, hi: int
 ) -> list[BlockSequence]:
-    """Deterministic candidates: consecutive normalized units, then pair blocks."""
+    """Deterministic candidates: consecutive normalized units, then pair blocks.
+
+    Each block is built once per (width, start index) and shared by every
+    tuple that holds it.
+    """
     out = []
     for width in (1, 2):
+        blocks: dict[int, SparseVector] = {}
         for start in range(lo, hi - width * n + 2):
             vectors = []
             for i in range(start, start + width * n, width):
-                v = SparseVector.indicator(range(i, i + width))
-                vectors.append(v.scale(1.0 / spec.norm(v)))
+                v = blocks.get(i)
+                if v is None:
+                    v = SparseVector.indicator(range(i, i + width))
+                    v = blocks[i] = v.scale(1.0 / spec.norm(v))
+                vectors.append(v)
             out.append(BlockSequence(vectors))
     return out
 
@@ -383,6 +391,9 @@ def asymptotic_lp_verdict(
     # Every pool tuple is supported past the first cutoff, so each is scanned
     # here, in pool order, and the rows only pick among the reports.
     scans: dict[tuple, EquivalenceReport] = {}
+    # keyed by id(v): the pool keeps every vector alive for the whole call,
+    # so no id is reused while the memo is read
+    coords: dict[int, tuple] = {}
     reports = []
     for seq in pool:
         # The scan reads ``seq`` only through ``CombinationNorm(spec, seq).parts``
@@ -392,7 +403,10 @@ def asymptotic_lp_verdict(
         # coordinates, in tuple order) and tuples with one key get equal
         # reports.  Every pool vector was normed when the pool was built, so
         # the key cannot raise.
-        key = tuple(tuple(spec.coordinates(v)) for v in seq)
+        for v in seq:
+            if id(v) not in coords:
+                coords[id(v)] = tuple(spec.coordinates(v))
+        key = tuple([coords[id(v)] for v in seq])
         if key not in scans:
             scans[key] = equivalence_constant(spec, seq, reference, net=net)
         reports.append(scans[key])

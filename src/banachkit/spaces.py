@@ -52,6 +52,10 @@ class InvalidVectorError(ValueError):
     """A vector is malformed or incompatible with the given space."""
 
 
+class _PairFormError(InvalidVectorError):
+    """An item given to ``SparseVector.from_pairs`` is not an index-coefficient pair."""
+
+
 def _reject_coefficient(coeff: float) -> bool:
     """Raise for a NaN or infinite coefficient; typed ``bool`` to sit in a filter."""
     raise InvalidVectorError(f"coefficient {coeff!r} is not finite")
@@ -86,7 +90,7 @@ class SparseVector:
         items = entries.items() if isinstance(entries, (dict, Mapping)) else entries
         data: dict[int, float] = {}
         for index, coeff in items:
-            if not isinstance(index, int) or index < 1:
+            if type(index) is not int or index < 1:  # not isinstance: a bool is an int
                 raise InvalidVectorError(f"index {index!r} is not a positive integer")
             coeff = float(coeff)
             if coeff != 0.0:
@@ -163,8 +167,19 @@ class SparseVector:
         return [[i, c] for i, c in self._entries.items()]
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[float]]) -> "SparseVector":
-        return cls([(int(i), float(c)) for i, c in pairs])
+    def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "SparseVector":
+        """The vector of ``[index, coefficient]`` pairs, as ``to_pairs`` writes them.
+
+        Each pair is a two-item list or tuple of an ``int`` index and an
+        ``int`` or ``float`` coefficient, neither a ``bool``.  Nothing is
+        converted: anything else raises ``InvalidVectorError`` naming the pair.
+        """
+        pairs = list(pairs)
+        for pair in pairs:
+            # type(), not isinstance(): a bool is an int
+            if type(pair) not in (list, tuple) or tuple(map(type, pair)) not in ((int, int), (int, float)):
+                raise _PairFormError(f"{pair!r} is not an [index, coefficient] pair of numbers")
+        return cls(pairs)
 
     def format(self) -> str:
         """Render as ``index:coefficient`` pairs joined by commas."""

@@ -201,6 +201,11 @@ class TestFaultsAreNamed:
             ("5", "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
             ('[[[1,1]],[[2,"x"]]]', "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
             ("[[[1,1]],[[2,1,3]]]", "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ("[[[1.5,1]],[[2.9,1]]]", "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ('[["12"]]', "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ("[[[true,false],[3,true]]]", "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ('[[[1,1]],[["2","1"]]]', "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
+            ("[[[1,1]],[[2,true]]]", "does not hold a list of vectors, each a list of [index, coefficient] pairs"),
             (
                 "[[[1,1]],",
                 "is not valid JSON (Expecting value: line 1 column 10 (char 9)); it takes a list of vectors, "

@@ -3,6 +3,7 @@ per key of a coefficient net.  Both are pinned here against verbatim copies
 of the per-tuple loops they replaced, and their work is counted."""
 
 import io
+import itertools
 import math
 from contextlib import redirect_stdout
 
@@ -18,7 +19,7 @@ from banachkit.analysis import (
     equivalence_constant,
     verify_stabilization,
 )
-from banachkit.blockseq import CombinationNorm
+from banachkit.blockseq import CombinationNorm, combine
 from banachkit.cli import main
 from banachkit.combinatorics import Blocking, FiniteSet, _coarsening_colors
 from banachkit.spaces import (
@@ -30,6 +31,7 @@ from banachkit.spaces import (
     LpSum,
     SparseVector,
     make_example_space,
+    norm,
 )
 
 SPACES = {
@@ -239,6 +241,19 @@ class TestRepresentatives:
         assert (repr(warm), hash(warm), warm.to_doc()) == before
         assert warm == cold and hash(warm) == hash(cold)
 
+    @pytest.mark.parametrize("step", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+    def test_grid_matches_a_generator_filter(self, step, max_len):
+        k = round(1.0 / step)
+        values = [i * step for i in range(-k, k + 1)]
+        expected = [
+            t
+            for n in range(1, max_len + 1)
+            for t in itertools.product(values, repeat=n)
+            if any(c != 0.0 for c in t)
+        ]
+        assert ScalarNet.grid(step, max_len).tuples == tuple(expected)
+
 
 # ---------------------------------------------------------------------------
 # The equivalence scan against the per-tuple scan
@@ -424,3 +439,76 @@ class TestWorkCounts:
         assert code == 0
         # 40 coordinate classes among the 279 pool tuples, 124 sign-free keys each
         assert len(kernel_calls) == 4_960
+
+    def test_readme_stabilized_computes_each_fixed_input_once(self, kernel_calls, monkeypatch):
+        reference_norms, indicators = [], []
+        coeff_norm, indicator = LpReference.coeff_norm, SparseVector.indicator.__func__
+
+        def counted_coeff_norm(self, coeffs):
+            reference_norms.append(tuple(coeffs))
+            return coeff_norm(self, coeffs)
+
+        def counted_indicator(cls, indices):
+            indicators.append(tuple(indices))
+            return indicator(cls, indices)
+
+        monkeypatch.setattr(LpReference, "coeff_norm", counted_coeff_norm)
+        monkeypatch.setattr(SparseVector, "indicator", classmethod(counted_indicator))
+        with redirect_stdout(io.StringIO()):
+            code = main(["stabilized", "--space", '{"kind":"lp","p":2}', "--n", "3", "--schedule", "1,10,100"])
+        assert code == 0
+        # 124 representatives once per run, plus two certificates per scan
+        assert len(reference_norms) == 124 + 2 * 40
+        # the 124 units and 123 pairs of [1, 124], each built once
+        assert len(indicators) == 247 and len(set(indicators)) == 247
+        assert len(kernel_calls) == 4_960
+
+    def test_reference_memo_is_invisible_to_equality_hash_repr_and_describe(self):
+        warm, cold = LpReference(2.0, 3), LpReference(2.0, 3)
+        before = (repr(warm), hash(warm), warm.describe())
+        seq = [SparseVector.unit(i) for i in (1, 2, 3)]
+        report = equivalence_constant(Lp(2.0), seq, warm)
+        assert warm.__dict__["_coeff_norms"]  # the scan filled the memo
+        assert equivalence_constant(Lp(2.0), seq, warm) == report == equivalence_constant(Lp(2.0), seq, cold)
+        assert (repr(warm), hash(warm), warm.describe()) == before
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+
+    @pytest.mark.parametrize(
+        "make_reference",
+        [
+            lambda n: LpReference(1.5, n),
+            lambda n: LpReference(math.inf, n),
+            lambda n: SequenceReference(James(), [SparseVector({2 * i + 1: 1.0, 2 * i + 2: -0.5}) for i in range(n)]),
+        ],
+        ids=["lp1.5", "lpinf", "sequence-james"],
+    )
+    def test_a_reused_reference_gives_the_oracle_reports(self, make_reference):
+        # nets a and b have equal representatives that differ in the sign of a zero
+        net_a = ScalarNet.of([(0.0, 1.0), (0.5, -1.0), (0.0, 1.0, -0.5), (1.0, -0.25, 0.5)])
+        net_b = ScalarNet.of([(-0.0, 1.0), (0.5, -1.0), (-0.0, 1.0, -0.5), (1.0, -0.25, 0.5)])
+        nets = [ScalarNet.grid(0.25, 3), ScalarNet.grid(0.5, 3), net_a, net_b]
+        for n in (2, 3):
+            reference = make_reference(n)
+            for net in nets + nets:
+                for name in ("lp2", "lp_sum", "james", "interleave-lp-c0"):
+                    for seq in (
+                        [SparseVector.unit(i) for i in range(1, n + 1)],
+                        [SparseVector({3 * i + 1: 1.0, 3 * i + 3: -2.0}) for i in range(n)],
+                    ):
+                        spec = SPACES[name]
+                        assert equivalence_constant(spec, seq, reference, net=net) == old_equivalence_constant(
+                            spec, seq, reference, net=net
+                        )
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_combination_norm_on_a_plain_successive_list(self, name):
+        spec = SPACES[name]
+        seq = [SparseVector({1: 0.5, 2: -1.0}), SparseVector({4: 2.0}), SparseVector({5: 1.0, 7: -0.25})]
+        norm_of = CombinationNorm(spec, seq)
+        assert norm_of.parts is not None
+        coeffs = (1.0, -0.5, 0.25)
+        for positions in [(1, 2, 3), (1, 2), (1, 3), (2, 3), (1,), (2,), (3,)]:
+            c = coeffs[: len(positions)]
+            got = norm_of(c, positions)
+            assert type(got) is float and got == norm(spec, combine(seq, c, positions))
+        assert norm_of(coeffs, range(1, 4)) == norm(spec, combine(seq, coeffs, (1, 2, 3)))

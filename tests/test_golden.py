@@ -35,6 +35,9 @@ of ``add_argument`` calls each into one table.  The JSON ``norm`` reports
 of l_inf, c_0, an l_p sum, James and an interleave with outer sum, which
 print each kind's space document, were hashed before that document was
 written from the dataclass fields instead of by a ``to_doc`` per kind.
+The stabilized reports against l_1.5 and l_1, which run the generic and the
+p = 1 branches of ``LpReference.coeff_norm``, were hashed before the
+equivalence scan memoized reference norms per net representatives tuple.
 The sandwich digest hashes the report of 2 000 trials of
 ``verify_example_space`` at tolerance -1, where 1 995 trials fail, so it pins
 the drawn blocks, vectors, coefficients, norms and bounds that the
@@ -261,6 +264,14 @@ GOLDEN = {
     "stabilized-james": (
         ["stabilized", "--space", '{"kind":"james"}', "--n", "2", "--schedule", "1,10,30", "--seed", "0"],
         "42d316a29d85c330800c185718626837d6f1fc612657b66cd1e3c517160cac3b",
+    ),
+    "stabilized-lp1.5": (
+        ["stabilized", "--space", '{"kind":"lp","p":1.5}', "--p", "1.5", "--n", "3", "--schedule", "1,10", "--seed", "1"],
+        "23ce3e7950dfd7903c7506c921140d1723015398b97e9697942d7249c70be25b",
+    ),
+    "stabilized-lp1": (
+        ["stabilized", "--space", '{"kind":"lp","p":1}', "--p", "1", "--n", "2", "--schedule", "1,10", "--seed", "2"],
+        "e2e4ca2a6d085e4c3088d7e61098251eff1eb48efeb23b585c2751773fbe5dd4",
     ),
     "verify-example-space-csv": (
         ["verify-example-space", "--trials", "200", "--seed", "0", "--format", "csv"],

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from random import Random
 
 import pytest
@@ -78,6 +79,31 @@ class TestSparseVector:
         for _ in range(50):
             v = random_sparse_vector(rng)
             assert SparseVector.from_pairs(v.to_pairs()) == v
+
+    @pytest.mark.parametrize(
+        "pairs, pair",
+        [
+            (["12"], "'12'"),
+            ([[1.5, 1], [2.9, 1]], "[1.5, 1]"),
+            ([[1, 1.0], [True, False], [3, True]], "[True, False]"),
+            ([[3, True]], "[3, True]"),
+            ([(1,)], "(1,)"),
+            ([[1, 2, 3]], "[1, 2, 3]"),
+            ([["1", "2"]], "['1', '2']"),
+            ([[1, None]], "[1, None]"),
+        ],
+    )
+    def test_from_pairs_converts_nothing(self, pairs, pair):
+        with pytest.raises(InvalidVectorError, match=r"^" + re.escape(f"{pair} is not an [index, coefficient] pair")):
+            SparseVector.from_pairs(pairs)
+
+    def test_from_pairs_takes_int_and_float_pairs(self):
+        assert SparseVector.from_pairs([[1, 2], (3, -0.5)]) == SparseVector({1: 2.0, 3: -0.5})
+        assert SparseVector.from_pairs(iter([(2, 1)])) == SparseVector.unit(2)
+
+    def test_bool_index_is_refused(self):
+        with pytest.raises(InvalidVectorError, match="index True is not a positive integer"):
+            SparseVector({True: 1.0})
 
 
 class TestLpAndC0:
