@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -795,6 +796,16 @@ def nccb_stabilize(
     monochromatic (trying full length first, then shorter).  Constant
     colorings keep the blocking unchanged, so an exactly homogeneous space
     returns the identity blocking.
+
+    Two exact sharing rules leave every color, witness and node count as a
+    fresh coloring per tuple gives them.  In an unconditional space t, -t
+    and |t| give their combination norms by the same float operations up to
+    sign, so each such sign family (elsewhere, each tuple) has one coloring.
+    With the one shared ``cache``, ``of`` and the merge memo depend only on
+    which coefficients are zero, so colorings with one zero pattern share
+    them and a memo of class walk steps (``BlockClasses.step``), differing
+    only in ``color``.  A pattern that one tuple alone has gets no step
+    memo: that tuple's searches differ in L, so none of its steps recurs.
     """
     if M < 1:
         raise ValueError("ground bound M must be >= 1")
@@ -804,7 +815,11 @@ def nccb_stabilize(
     steps = []
     complete = True
     cache: dict = {}
-    for coeffs in net.tuples:
+    colorings: dict = {}  # by sign family
+    walks: dict = {}  # by zero pattern
+    patterns = [tuple(c != 0.0 for c in t) for t in net.tuples]
+    repeats = Counter(patterns)
+    for coeffs, pattern in zip(net.tuples, patterns):
         n = len(coeffs)
         if len(current) < n:
             complete = False
@@ -812,7 +827,13 @@ def nccb_stabilize(
                 StabilizationStep(tuple(coeffs), len(current), False, None, 0, current)
             )
             continue
-        coloring = norm_quantization_coloring(spec, coeffs, quantum, M, cache=cache)
+        family = _sign_free(coeffs) if spec.unconditional else tuple(coeffs)
+        coloring = colorings.get(family)
+        if coloring is None:
+            coloring = norm_quantization_coloring(spec, coeffs, quantum, M, cache=cache)
+            memo = {} if repeats[pattern] > 1 else None
+            walk = walks.setdefault(pattern, replace(coloring.classes, steps=memo))
+            coloring = colorings[family] = replace(coloring, classes=replace(walk, color=coloring.classes.color))
         # L = n always succeeds: a length-n blocking is its own only length-n coarsening
         for L in range(len(current), n - 1, -1):
             cert = milliken_taylor_search(coloring, current, k=n, L=L)
@@ -839,10 +860,12 @@ def verify_stabilization(
     result: StabilizationResult,
     net: ScalarNet,
 ) -> bool:
-    """Color every coarsening of the result exhaustively, per tuple.
+    """Check, per tuple, that the result's length-n coarsenings are monochromatic.
 
-    Each tuple's coloring colors the class tuple of every length-n
-    coarsening once (``_coarsening_colors``), without listing them.  In an
+    Each tuple's coloring walks the class tuples of the coarsenings through
+    ``_class_step`` and the merge memo (``_coarsening_colors``), without
+    listing them or memoizing steps, and colors each distinct one once.
+    That walk is the search's own, so this is no independent check.  In an
     unconditional space the tuples t, -t and |t| color every blocking alike
     (their combination norms are the same float operations up to sign), so
     only each sign family's first tuple is colored.

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "FiniteSet",
@@ -226,12 +227,15 @@ class BlockClasses:
     position is a function of the classes of A and B there.  ``merge``
     memoizes it by (class, class), filled on first use from the concrete
     union, so coarsenings can be colored by class tuple without being
-    listed.
+    listed.  ``steps``, when not ``None``, memoizes ``_class_step`` for
+    walks that may revisit a path: colorings that share ``of``, ``merged``
+    and ``steps`` walk alike and differ only in ``color``.
     """
 
     of: Callable[[int, tuple[int, ...]], int]
     color: Callable[[tuple[int, ...]], int]
     merged: dict = field(default_factory=lambda: {(-1, -1): -1})
+    steps: dict | None = None
 
     def merge(self, i: int, a: int, b: int, a_elements: tuple[int, ...], b_elements: tuple[int, ...]) -> int:
         """The class at position ``i`` of A u B, A of class ``a`` below B of class ``b``."""
@@ -239,6 +243,21 @@ class BlockClasses:
         if union is None:
             union = self.merged[a, b] = self.of(i, a_elements + b_elements)
         return union
+
+    def step(self, k: int, states: Mapping, block: tuple[int, ...], room: int) -> tuple[dict, set[tuple[int, ...]]]:
+        """``_class_step`` of these classes, memoized in ``steps`` if there is one.
+
+        The memo is keyed by the identity of ``states``.  That names the
+        path exactly: a walk starts from ``_START``, which lives as long as
+        the module, and goes on from states the memo returned and holds.
+        """
+        if self.steps is None:
+            return _class_step(self, k, states, block, room)
+        key = (id(states), block, k, room)
+        found = self.steps.get(key)
+        if found is None:
+            found = self.steps[key] = _class_step(self, k, states, block, room)
+        return found
 
 
 @dataclass(frozen=True)
@@ -593,8 +612,12 @@ def _arity_tuples(j: int, k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
     return _arity_table(j, k)
 
 
+# the states before the first block: no set started
+_START: Mapping = MappingProxyType({(): ()})
+
+
 def _class_step(
-    classes: BlockClasses, k: int, states: dict, block: tuple[int, ...], room: int
+    classes: BlockClasses, k: int, states: Mapping, block: tuple[int, ...], room: int
 ) -> tuple[dict, set[tuple[int, ...]]]:
     """Extend the class tuples of length-k coarsenings by one more block.
 
@@ -633,7 +656,7 @@ def _coarsening_colors(coloring: Coloring, P: Blocking, k: int) -> set[int]:
     and each distinct class tuple is colored once.
     """
     _check_ground(coloring, P)
-    states: dict = {(): ()}
+    states: Mapping = _START
     keys: set[tuple[int, ...]] = set()
     for room, block in zip(range(len(P) - 1, -1, -1), P):
         states, finals = _class_step(coloring.classes, k, states, block.elements, room)
@@ -667,7 +690,7 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
 
     P must lie in the coloring's ground set.  A coloring with ``classes`` is
     colored once per distinct class tuple of the new coarsenings, found by
-    ``_class_step`` from the states of the path above.  The node outcome
+    ``classes.step`` from the states of the path above.  The node outcome
     does not depend on query order: at depth k the one coarsening sets the
     color, deeper every color must equal it.  So the certificate is the one
     the enumeration gives.
@@ -682,12 +705,12 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
     unions = _Unions(P)
     classes = coloring.classes
     # class-tuple states after each block of the current path
-    path = [{(): ()}]
+    path = [_START]
 
     def colors(chosen: tuple[tuple[int, ...], ...]) -> Iterator[int]:
         if classes is not None:
             del path[len(chosen) :]
-            states, finals = _class_step(classes, k, path[-1], unions[chosen[-1]].elements, L - len(chosen))
+            states, finals = classes.step(k, path[-1], unions[chosen[-1]].elements, L - len(chosen))
             path.append(states)
             yield from {classes.color(key) for key in finals}
             return

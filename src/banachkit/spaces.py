@@ -172,13 +172,18 @@ class SparseVector:
 
         Each pair is a two-item list or tuple of an ``int`` index and an
         ``int`` or ``float`` coefficient, neither a ``bool``.  Nothing is
-        converted: anything else raises ``InvalidVectorError`` naming the pair.
+        converted: anything else raises ``InvalidVectorError`` naming the pair,
+        and an ``int`` coefficient past the float range one naming its index.
         """
         pairs = list(pairs)
         for pair in pairs:
             # type(), not isinstance(): a bool is an int
             if type(pair) not in (list, tuple) or tuple(map(type, pair)) not in ((int, int), (int, float)):
                 raise _PairFormError(f"{pair!r} is not an [index, coefficient] pair of numbers")
+            try:
+                float(pair[1])
+            except OverflowError:
+                raise InvalidVectorError(f"coefficient at index {pair[0]} is past the float range") from None
         return cls(pairs)
 
     def format(self) -> str:

@@ -14,7 +14,9 @@ for ``Random`` and for a subclass that overrides only ``random()``, which
 checks on each interpreter that the draw makes the calls those methods
 make.  Then compares the subsets ``combinatorics._subsets_from`` gives with
 the sorted ``combinations`` of ``subset_oracle``: every ground set a table
-serves, and walks past the table limit, whole or their first entries.
+serves, and walks past the table limit, whole or their first entries.  Then
+compares ``nccb_stabilize`` with the one-coloring-per-tuple loop of
+``stabilize_oracle`` on its fixed cases.
 Prints one line per mismatch, then a summary line that ends with the
 line count of ``src/``, and exits 1 if there is any mismatch, else exits 0.
 Needs only the standard library, so it can check interpreters that have no
@@ -42,6 +44,7 @@ except ImportError:
 import test_golden  # noqa: E402
 from banachkit.spaces import make_example_space  # noqa: E402
 from draw_oracle import RandomOverridingRandom, draw_mismatches  # noqa: E402
+from stabilize_oracle import STABILIZE_CASES, stabilize_mismatches  # noqa: E402
 from subset_oracle import subset_order_mismatches  # noqa: E402
 
 # (seed, max_n, max_block, constant_coefficients) for the draw differential;
@@ -88,12 +91,18 @@ def main() -> int:
         mismatches = subset_order_mismatches(lo, n, count)
         failures += mismatches
         subset_agree += not mismatches
+    stabilize_agree = 0
+    for case in STABILIZE_CASES.values():
+        mismatches = stabilize_mismatches(*case)
+        failures += mismatches
+        stabilize_agree += not mismatches
     for line in failures:
         print(line)
     print(f"{len(test_golden.GOLDEN) + 2 - hash_failures} of {len(test_golden.GOLDEN) + 2} hashes match, "
           f"{len(cases) + hash_failures - parser_failures} of {len(cases)} parser cases agree, "
           f"{draw_agree} of {len(draw_cases)} draw cases, "
-          f"{subset_agree} of {len(subset_cases)} subset-order cases agree "
+          f"{subset_agree} of {len(subset_cases)} subset-order cases, "
+          f"{stabilize_agree} of {len(STABILIZE_CASES)} stabilization cases agree "
           f"on Python {sys.version.split()[0]}; src/ has "
           f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines")
     return 1 if failures else 0

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from banachkit import analysis
+from banachkit import analysis, combinatorics
 from banachkit.analysis import (
     LpReference,
     ScalarNet,
@@ -43,6 +43,8 @@ from banachkit.blockseq import (
 from banachkit.combinatorics import (
     Blocking,
     FiniteSet,
+    _START,
+    _class_step,
     _coarsening_colors,
     coarsenings,
     constant_coloring,
@@ -63,6 +65,7 @@ from banachkit.spaces import (
 )
 
 from draw_oracle import RandomOverridingRandom, draw_mismatches, oracle_random_block_tuple
+from stabilize_oracle import STABILIZE_CASES, oracle_nccb_stabilize, stabilize_mismatches
 
 
 def unit(i):
@@ -846,7 +849,7 @@ class TestColoringClassMemo:
         result = nccb_stabilize(spec, 8, net, epsilon=0.1, quantum=0.05)
         assert verify_stabilization(spec, result, net)
         assert result.blocking.encode() == "3|4|5|6|7|8"
-        assert len(colorings) == 28 + 10  # every tuple, then one per sign family
+        assert len(colorings) == 10 + 10  # one per sign family, in the search and in verify
         for seen, calls in colorings:
             assert calls[0] == len(seen)
         assert kernel_calls[0] == sum(len(seen) for seen, _ in colorings)
@@ -1009,6 +1012,112 @@ class TestClassTupleWalk:
         P, k, _, _, quantum = case
         coloring = norm_quantization_coloring(CLASS_SPACES[name], coeffs[:k], quantum, 10)
         assert {coloring.of_blocking(F) for F in coarsenings(P, k)} <= set(range(coloring.colors))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: nccb_stabilize, which shares one coloring per sign
+# family and one class walk per zero pattern, against the loop of one fresh
+# coloring per tuple (stabilize_oracle.py, which golden_hashes.py runs too).
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def stabilize_runs(draw):
+    """M <= 10, a quantum, and a ``ScalarNet.of`` net of tuples drawn from a
+    few bases with signs flipped, so that tuples hold zeros, repeat, and come
+    from sign families and zero patterns that interleave."""
+    bases = draw(
+        st.lists(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=1, max_size=3), min_size=1, max_size=4)
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(bases), st.lists(st.booleans(), min_size=3, max_size=3)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    net = ScalarNet.of([[-c if flip else c for c, flip in zip(base, flips)] for base, flips in picks])
+    return draw(st.integers(1, 10)), net, draw(st.sampled_from((0.05, 0.1, 0.3)))
+
+
+def counted_class_steps(monkeypatch):
+    """A list whose length counts the ``_class_step`` calls made from here on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _class_step(*args)
+
+    monkeypatch.setattr(combinatorics, "_class_step", counted)
+    return calls
+
+
+class TestStabilizationSharing:
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=15, deadline=None)
+    @given(run=stabilize_runs())
+    def test_result_matches_the_fresh_coloring_oracle(self, name, run):
+        M, net, quantum = run
+        # the whole StabilizationResult, or the error, is the oracle's
+        assert stabilize_mismatches(CLASS_SPACES[name], M, net, quantum) == []
+
+    @pytest.mark.parametrize("name", sorted(STABILIZE_CASES))
+    def test_fixed_cases_match_the_oracle(self, name):
+        assert stabilize_mismatches(*STABILIZE_CASES[name]) == []
+
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    @settings(max_examples=20, deadline=None)
+    @given(case=walk_cases())
+    def test_step_memo_gives_what_class_step_gives(self, name, case):
+        P, k, _, coeffs, quantum = case
+        classes = norm_quantization_coloring(CLASS_SPACES[name], coeffs, quantum, 10).classes
+        shared = dataclasses.replace(classes, steps={})
+        # as in nccb_stabilize, searches of one blocking go to shorter L, so
+        # each block comes back with less room after it
+        for L in range(len(P), k - 1, -1):
+            memo_states = fresh_states = _START
+            for room, block in zip(range(L - 1, -1, -1), P):
+                memo_states, memo_finals = shared.step(k, memo_states, block.elements, room)
+                fresh_states, fresh_finals = _class_step(classes, k, fresh_states, block.elements, room)
+                assert (memo_states, memo_finals) == (fresh_states, fresh_finals)
+
+    def test_a_coloring_built_alone_searches_with_no_step_memo(self, monkeypatch):
+        coloring = norm_quantization_coloring(make_example_space(2.0, 3, [1.0, 1.5, 1.8]), (1.0, -0.5), 0.05, 8)
+        assert coloring.classes.steps is None
+        calls = counted_class_steps(monkeypatch)
+        first = milliken_taylor_search(coloring, Blocking.singletons(8), 2, 6)
+        # one class step per node, again on the second search
+        assert len(calls) == first.nodes_explored
+        assert milliken_taylor_search(coloring, Blocking.singletons(8), 2, 6) == first
+        assert len(calls) == 2 * first.nodes_explored
+
+    @pytest.mark.parametrize(
+        "tuples, memoized",
+        [
+            # one zero pattern, two sign families, one of them twice
+            ([(1.0, -0.5), (0.5, 0.5), (-1.0, 0.5)], True),
+            # no zero pattern repeats: no step memo
+            ([(1.0, -0.5), (0.0, 0.5), (0.5, 0.0), (1.0,)], False),
+        ],
+    )
+    def test_only_a_repeated_zero_pattern_memoizes_its_walk(self, monkeypatch, tuples, memoized):
+        spec, net = make_example_space(2.0, 3, [1.0, 1.5, 1.8]), ScalarNet.of(tuples)
+        memos = []
+        search = analysis.milliken_taylor_search
+
+        def recorded(coloring, *args, **kwargs):
+            memos.append(coloring.classes.steps)
+            return search(coloring, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "milliken_taylor_search", recorded)
+        calls = counted_class_steps(monkeypatch)
+        result = nccb_stabilize(spec, 9, net, 0.1, 0.05)
+        shared = len(calls)
+        # the oracle searches through combinatorics, not recorded
+        assert oracle_nccb_stabilize(spec, 9, net, 0.1, 0.05) == result
+        fresh = len(calls) - shared
+        assert [memo is not None for memo in memos] == [memoized] * len(memos)
+        assert shared < fresh if memoized else shared == fresh
 
 
 # ---------------------------------------------------------------------------

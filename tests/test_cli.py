@@ -235,7 +235,12 @@ class TestFaultsAreNamed:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
         "text, message",
-        [("[[[0,1]]]", "index 0 is not a positive integer"), ("[[[1,1e400]]]", "coefficient inf is not finite")],
+        [
+            ("[[[0,1]]]", "index 0 is not a positive integer"),
+            ("[[[1,1e400]]]", "coefficient inf is not finite"),
+            # 400 digits: a JSON integer too large for a float
+            ("[[[1,1]],[[3," + "1" * 400 + "]]]", "coefficient at index 3 is past the float range"),
+        ],
     )
     def test_vector_faults_named_already_keep_their_text(self, tmp_path, fmt, text, message):
         path = tmp_path / "vectors.json"

@@ -97,6 +97,11 @@ class TestSparseVector:
         with pytest.raises(InvalidVectorError, match=r"^" + re.escape(f"{pair} is not an [index, coefficient] pair")):
             SparseVector.from_pairs(pairs)
 
+    @pytest.mark.parametrize("coeff", [10**400, -(10**400)])
+    def test_from_pairs_refuses_an_int_coefficient_past_the_float_range(self, coeff):
+        with pytest.raises(InvalidVectorError, match=r"^coefficient at index 1 is past the float range$"):
+            SparseVector.from_pairs([[1, coeff]])
+
     def test_from_pairs_takes_int_and_float_pairs(self):
         assert SparseVector.from_pairs([[1, 2], (3, -0.5)]) == SparseVector({1: 2.0, 3: -0.5})
         assert SparseVector.from_pairs(iter([(2, 1)])) == SparseVector.unit(2)
