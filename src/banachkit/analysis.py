@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
 from random import Random
@@ -367,6 +366,8 @@ def _fit_reference_p(records: Sequence[SpreadingRecord], final_horizon: int) -> 
     ys = [p[1] for p in points]
     if max(ys) - min(ys) < 1e-12:
         return math.inf
+    import statistics  # on use: a slow import that few commands need
+
     slope = statistics.linear_regression(xs, ys).slope
     if slope <= 1e-12:
         return math.inf
@@ -473,7 +474,10 @@ def equivalence_constant(
     they are memoized on the reference instance, keyed by the
     representatives tuple and kept outside the fields (as
     ``ScalarNet.representatives`` keeps its cache), so equality, hashing,
-    ``repr`` and ``describe()`` ignore the memo.
+    ``repr`` and ``describe()`` ignore the memo.  Each tuple is measured by
+    ``spec.parts_norm`` on the sequence's coordinates and per-vector maxima,
+    the value ``CombinationNorm`` gives bit for bit; ``Lp`` scales from the
+    maxima (the exactness argument is at ``spaces._lp_parts_norm``).
     """
     n = reference.n
     seq = list(seq)
@@ -484,6 +488,7 @@ def equivalence_constant(
         net = ScalarNet.grid(step=net_step, max_len=n)
     positions = tuple(range(1, n + 1))
     norm_of = CombinationNorm(spec, head)
+    parts, tops, parts_norm = norm_of.parts, norm_of.tops, spec.parts_norm
     # Both norms ignore coefficient signs when the sequence side is
     # unconditional and the reference is l_p, so a ratio is a function of
     # the tuple's sign-free key.  Each key is scanned once, through its
@@ -508,7 +513,7 @@ def equivalence_constant(
         r_norm = r_norms[i]
         if not r_norm > 0.0:
             continue
-        s_norm = norm_of(t, positions)
+        s_norm = parts_norm(t, parts, tops) if parts is not None else norm_of(t, positions)
         if s_norm == 0.0:
             raise ValueError(
                 f"the combination with coefficients {t} has norm 0: no lower bound exists"
@@ -806,6 +811,8 @@ def nccb_stabilize(
     them and a memo of class walk steps (``BlockClasses.step``), differing
     only in ``color``.  A pattern that one tuple alone has gets no step
     memo: that tuple's searches differ in L, so none of its steps recurs.
+    A pattern's colorings, and so its step memo, are dropped with its last
+    tuple: each sign family has one zero pattern, so none is asked for again.
     """
     if M < 1:
         raise ValueError("ground bound M must be >= 1")
@@ -815,12 +822,13 @@ def nccb_stabilize(
     steps = []
     complete = True
     cache: dict = {}
-    colorings: dict = {}  # by sign family
-    walks: dict = {}  # by zero pattern
+    colorings: dict = {}  # by zero pattern, then by sign family
     patterns = [tuple(c != 0.0 for c in t) for t in net.tuples]
     repeats = Counter(patterns)
     for coeffs, pattern in zip(net.tuples, patterns):
         n = len(coeffs)
+        repeats[pattern] -= 1  # now the pattern's tuples after this one
+        shared = colorings.setdefault(pattern, {}) if repeats[pattern] else colorings.pop(pattern, {})
         if len(current) < n:
             complete = False
             steps.append(
@@ -828,12 +836,15 @@ def nccb_stabilize(
             )
             continue
         family = _sign_free(coeffs) if spec.unconditional else tuple(coeffs)
-        coloring = colorings.get(family)
+        coloring = shared.get(family)
         if coloring is None:
             coloring = norm_quantization_coloring(spec, coeffs, quantum, M, cache=cache)
-            memo = {} if repeats[pattern] > 1 else None
-            walk = walks.setdefault(pattern, replace(coloring.classes, steps=memo))
-            coloring = colorings[family] = replace(coloring, classes=replace(walk, color=coloring.classes.color))
+            if shared:
+                walk = next(iter(shared.values())).classes
+            else:
+                # the pattern's first tuple, since a length that no longer fits never fits again
+                walk = replace(coloring.classes, steps={} if repeats[pattern] else None)
+            coloring = shared[family] = replace(coloring, classes=replace(walk, color=coloring.classes.color))
         # L = n always succeeds: a length-n blocking is its own only length-n coarsening
         for L in range(len(current), n - 1, -1):
             cert = milliken_taylor_search(coloring, current, k=n, L=L)
@@ -925,6 +936,8 @@ def krivine_p_estimate(spec: SpaceSpec, max_n: int, start: int = 1) -> KrivineRe
     monotone = all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
     if max(logs) - min(logs) < 1e-12:
         return KrivineReport(math.inf, 0.0, 1.0, tuple(norms), monotone, start, max_n)
+    import statistics  # on use: a slow import that few commands need
+
     slope = statistics.linear_regression(xs, logs).slope
     try:
         r_squared = statistics.correlation(xs, logs) ** 2

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import Blocking, FiniteSet, coarsen_by_indices
-from .spaces import InvalidVectorError, SparseVector, SpaceSpec, combination_norm
+from .spaces import InvalidVectorError, SparseVector, SpaceSpec, _scale, combination_norm
 
 __all__ = [
     "BlockSequence",
@@ -222,18 +222,23 @@ class CombinationNorm:
     as positions, positions strictly increasing inside 1..len(seq).
     ``unconditional`` tells whether flipping coefficient signs leaves every
     value unchanged, which holds for successive supports in an
-    unconditional space.
+    unconditional space.  With ``parts``, ``tops`` holds each vector's
+    largest magnitude, so ``spec.parts_norm(coeffs, parts, tops)`` gives the
+    norm of a combination of every vector (``spaces._lp_parts_norm`` says
+    why that is exact for ``Lp``).
     """
 
     def __init__(self, spec: SpaceSpec, seq: Sequence[SparseVector]):
         self.spec = spec
         self.seq = seq
-        self.parts = None
+        self.parts = self.tops = None
         if _successive(seq):
             try:
                 self.parts = [spec.coordinates(v) for v in seq]
             except InvalidVectorError:
                 pass  # the combine path raises it where a combination meets it
+            else:
+                self.tops = [_scale(part) for part in self.parts]
         self.unconditional = self.parts is not None and spec.unconditional
         self._extremes: dict = {}
         self._windows: dict = {}

@@ -14,7 +14,6 @@ Exit status: 0 when the computation ran and every declared check passed,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -207,6 +206,8 @@ def _emit(args, report, rows: list[list] | None = None) -> None:
             for number, row in enumerate(table[1:], 1):
                 for name, value in zip(table[0], row):
                     _check_finite(f"column {name} in row {number}", value)
+        import csv  # on use: a slow import that JSON reports do not need
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         for row in table:

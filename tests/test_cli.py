@@ -5,8 +5,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from banachkit import analysis, cli, games
 from banachkit.analysis import GoodnessReport, SpreadingEstimate, krivine_p_estimate
 from banachkit.games import AsymptoticVerdict
 from banachkit.cli import main
+from banachkit.spaces import Lp
 
 
 def run_cli(*argv):
@@ -711,6 +716,46 @@ class TestAnalysisCommands:
         argv = ["stabilized", "--space", LP2, "--n", "2", f"--schedule={schedule}", "--samples", "3"]
         code, out, err = run_cli(*argv)
         assert (code, out, err) == (2, "", f"config error: schedule cutoffs must be >= 1, got {low}\n")
+
+    @pytest.mark.parametrize(
+        "option, value, span",
+        [
+            ("--window", "100000000000", "schedule 1..100 and window 100000000000 span [1, 100000000100], "
+             "which holds 200000000193"),
+            ("--schedule", "1,100000000000", "schedule 1..100000000000 and window 24 span [1, 100000000024], "
+             "which holds 200000000041"),
+        ],
+    )
+    def test_a_sample_span_past_the_pool_limit_is_refused_before_building(self, option, value, span):
+        # in a child whose address space is capped at 1 GB, so that a pool
+        # built after all fails there instead of filling the machine
+        pytest.importorskip("resource")
+        child = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from banachkit.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["stabilized", "--space", LP2, "--n", "3", option, value]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert float(done.stdout) < 1.0  # seconds in main
+        assert done.stderr == (
+            f"config error: {span} structured block 3-tuples, past the limit of {games._POOL_LIMIT}\n"
+        )
+
+    def test_the_pool_limit_is_far_above_the_readme_run(self):
+        # the README run builds 241 structured tuples; the largest golden or
+        # test run, n = 2 over the same span, builds 244
+        assert len(games._structured_tuples(Lp(2.0), 3, 1, 124)) == 241
+        assert len(games._structured_tuples(Lp(2.0), 2, 1, 124)) == 244 < games._POOL_LIMIT // 100
 
     @pytest.mark.parametrize("ref_n, expected", [(None, 3), ("1", 1), ("2", 2)])
     def test_ref_n_is_used_as_given(self, ref_n, expected):

@@ -40,6 +40,15 @@ from banachkit.spaces import (
     combination_norm,
     norm,
 )
+from kernel_oracle import (
+    EXPONENTS,
+    SPECIAL_COEFFICIENTS,
+    SPECIAL_VALUES,
+    kernel_mismatches,
+    kernel_outcome,
+    oracle_combination_norm,
+    oracle_coordinate_norm,
+)
 
 UNCONDITIONAL = [
     Lp(1.0),
@@ -306,6 +315,66 @@ class TestCoordinateFormulas:
         assert spec.coordinate_norm([(0, 1.0), (2, 1.0), (2, -1.0)]) == oracle(spec, [(0, 1.0), (2, 1.0), (2, -1.0)])
         with pytest.raises(InvalidVectorError, match="segment 1 after 2"):
             spec.coordinate_norm([(0, 1.0), (2, 1.0), (1, -1.0)])
+
+
+# ---------------------------------------------------------------------------
+# The scaled l_p kernel against the product list it replaced (kernel_oracle.py,
+# which golden_hashes.py runs on fixed seeds on every interpreter)
+# ---------------------------------------------------------------------------
+
+
+special_coefficient = st.sampled_from(SPECIAL_COEFFICIENTS)
+any_coefficient = st.one_of(special_coefficient, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def scaled_parts(draw):
+    """1..4 parts, some empty, each of nonzero finite values around one of
+    the magnitudes 1e-300, 1 and 1e300, so parts differ by up to 1e600."""
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        magnitude = draw(st.sampled_from([1e-300, 1.0, 1e300]))
+        around = st.floats(min_value=0.5, max_value=2.0).map(lambda x: x * magnitude)
+        value = st.one_of(st.sampled_from(SPECIAL_VALUES), around, around.map(lambda x: -x))
+        parts.append([(None, c) for c in draw(st.lists(value, max_size=3)) if c != 0.0])
+    return parts
+
+
+class TestScaledKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(p=st.sampled_from(EXPONENTS), parts=scaled_parts(), data=st.data())
+    def test_parts_norm_is_the_product_list(self, p, parts, data):
+        coeffs = tuple(data.draw(any_coefficient) for _ in parts)
+        spec = Lp(p)
+        indices = itertools.count(1)
+        seq = [SparseVector({next(indices): c for _, c in part}) for part in parts]
+        tops = CombinationNorm(spec, seq).tops
+        assert tops == [max((abs(c) for _, c in part), default=0.0) for part in parts]
+        assert kernel_outcome(spec.parts_norm, coeffs, parts, tops) == kernel_outcome(
+            oracle_combination_norm, spec, coeffs, parts
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(EXPONENTS), parts=scaled_parts())
+    def test_coordinate_norm_is_the_old_formula(self, p, parts):
+        spec = Lp(p)
+        assert kernel_outcome(spec.coordinate_norm, parts[0]) == kernel_outcome(oracle_coordinate_norm, spec, parts[0])
+
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_the_scale_takes_magnitudes_of_mixed_signs(self, p):
+        # the largest product is the negative one; a scale from signed
+        # products would be 1e-300 and overflow the quotients
+        coeffs, parts = (-1.0, 1e-300), [[(None, 1e300)], [(None, 1.0)]]
+        assert Lp(p).parts_norm(coeffs, parts, [1e300, 1.0]) == oracle_combination_norm(Lp(p), coeffs, parts) == 1e300
+
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_a_nan_coefficient_raises_as_the_product_list_does(self, p):
+        # the other part sets a finite scale, so only the total can show the NaN
+        with pytest.raises(InvalidVectorError, match="^coefficient nan is not finite$"):
+            Lp(p).parts_norm((1.0, math.nan), [[(None, 2.0)], [(None, 1.0)]], [2.0, 1.0])
+
+    def test_golden_seeds_agree(self):
+        assert kernel_mismatches(0, 250) == []
 
 
 # ---------------------------------------------------------------------------
