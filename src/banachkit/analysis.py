@@ -87,6 +87,11 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # ---------------------------------------------------------------------------
 
 
+# The most tuples ``ScalarNet.grid`` builds, far above the 7 376 of step 0.25
+# at length 4, the largest net of the documented and tested runs.
+_NET_LIMIT = 1_000_000
+
+
 @dataclass(frozen=True)
 class ScalarNet:
     """Finite list of coefficient tuples standing in for all of [-1,1]^n.
@@ -110,6 +115,15 @@ class ScalarNet:
         k = round(1.0 / step)
         if abs(k * step - 1.0) > 1e-9:
             raise ValueError(f"net step {step} must divide 1")
+        # b^l - 1 nonzero tuples of each length l, counted before any is built,
+        # in closed form while the count is short enough to write out
+        b = 2 * k + 1
+        digits = max_len * math.log10(b)
+        size = (b ** (max_len + 1) - b) // (b - 1) - max_len if digits < 100 else f"about 10^{int(digits)}"
+        if digits >= 100 or size > _NET_LIMIT:
+            raise ValueError(
+                f"net step {step} and max_len {max_len} give {size} tuples, past the limit of {_NET_LIMIT}"
+            )
         values = [i * step for i in range(-k, k + 1)]
         tuples = []
         for n in range(1, max_len + 1):
@@ -470,14 +484,14 @@ def equivalence_constant(
     net with no other tuple of length n raises ``ValueError``, and so does a
     tuple whose combination of the sequence has norm 0.
 
-    Each representative's reference norm is computed once per reference:
-    they are memoized on the reference instance, keyed by the
-    representatives tuple and kept outside the fields (as
-    ``ScalarNet.representatives`` keeps its cache), so equality, hashing,
-    ``repr`` and ``describe()`` ignore the memo.  Each tuple is measured by
-    ``spec.parts_norm`` on the sequence's coordinates and per-vector maxima,
-    the value ``CombinationNorm`` gives bit for bit; ``Lp`` scales from the
-    maxima (the exactness argument is at ``spaces._lp_parts_norm``).
+    Each representative's reference norm is computed once per reference and
+    representatives tuple: the reference instance keeps the last tuple it
+    scanned, found by identity so that it is not rehashed, with its norms,
+    outside the fields (as ``ScalarNet.representatives`` keeps its cache), so
+    equality, hashing, ``repr`` and ``describe()`` ignore the memo.  Each
+    tuple is measured by ``spec.parts_norm`` on the sequence's coordinates
+    and per-vector maxima, as ``CombinationNorm`` measures it; ``Lp`` scales
+    from the maxima (the exactness argument is at ``spaces._lp_parts_norm``).
     """
     n = reference.n
     seq = list(seq)
@@ -502,8 +516,12 @@ def equivalence_constant(
 
     # Exact, since coeff_norm is a pure function of the reference and t.  The
     # list is extended in scan order, so a scan that raises part way raises
-    # where computing each norm afresh would.
-    r_norms = reference.__dict__.setdefault("_coeff_norms", {}).setdefault(reps, [])
+    # where computing each norm afresh would.  The memo holds reps, so the
+    # identity test cannot match another tuple.
+    memo = reference.__dict__.get("_coeff_norms")
+    if memo is None or memo[0] is not reps:
+        memo = reference.__dict__["_coeff_norms"] = (reps, [])
+    r_norms = memo[1]
     best_upper = -math.inf
     best_lower = -math.inf
     arg_upper = arg_lower = reps[0]

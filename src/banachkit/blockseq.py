@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import Blocking, FiniteSet, coarsen_by_indices
-from .spaces import InvalidVectorError, SparseVector, SpaceSpec, _scale, combination_norm
+from .spaces import InvalidVectorError, SparseVector, SpaceSpec, _scale
 
 __all__ = [
     "BlockSequence",
@@ -213,8 +213,10 @@ class CombinationNorm:
 
     When the supports of ``seq`` are successively increasing (always so for
     a ``BlockSequence``; checked once here for a plain list), each vector's
-    coordinates are computed once and every call goes through
-    ``combination_norm``: the same float operations, no SparseVector built.
+    coordinates and largest magnitude are computed once and every call goes
+    through ``spec.parts_norm``: ``combination_norm``'s value bit for bit, no
+    SparseVector built (``spaces._lp_parts_norm`` says why scaling from the
+    maxima is exact for ``Lp``).
     Otherwise, or when a vector does not fit the space, every call takes the
     ``combine`` path and so overlaps, and errors, behave exactly as there.
 
@@ -222,10 +224,7 @@ class CombinationNorm:
     as positions, positions strictly increasing inside 1..len(seq).
     ``unconditional`` tells whether flipping coefficient signs leaves every
     value unchanged, which holds for successive supports in an
-    unconditional space.  With ``parts``, ``tops`` holds each vector's
-    largest magnitude, so ``spec.parts_norm(coeffs, parts, tops)`` gives the
-    norm of a combination of every vector (``spaces._lp_parts_norm`` says
-    why that is exact for ``Lp``).
+    unconditional space.
     """
 
     def __init__(self, spec: SpaceSpec, seq: Sequence[SparseVector]):
@@ -246,16 +245,17 @@ class CombinationNorm:
     def __call__(self, coeffs: Sequence[float], positions: Sequence[int]) -> float:
         """The norm of ``sum_i coeffs[i] * seq[positions[i] - 1]``.
 
-        A call with as many positions as vectors passes ``parts`` itself:
-        strictly increasing positions inside 1..len(seq) are then exactly
-        1..len(seq).
+        A call with as many positions as vectors passes ``parts`` and
+        ``tops`` themselves: strictly increasing positions inside 1..len(seq)
+        are then exactly 1..len(seq).
         """
-        parts = self.parts
+        parts, tops = self.parts, self.tops
         if parts is None:
             return self.spec.norm(combine(self.seq, coeffs, positions))
         if len(positions) != len(parts):
             parts = [parts[k - 1] for k in positions]
-        return combination_norm(self.spec, coeffs, parts)
+            tops = [tops[k - 1] for k in positions]
+        return self.spec.parts_norm(coeffs, parts, tops)
 
     def window_extremes(self, coeffs: Sequence[float], K: int, H: int) -> tuple[float, float]:
         """(sup, inf) of the values over the increasing len(coeffs)-tuples of
@@ -271,11 +271,12 @@ class CombinationNorm:
         extremes = self._extremes.get(key)
         if extremes is None:
             sup, inf = -math.inf, math.inf
-            # Exact: combination_norm is a pure function of (coeffs, parts), so
-            # tuples of one class tuple give bit-identical values; sup and inf
-            # update strictly and the caller sees no positions, so a repeated
-            # value changes neither; and the first tuple to raise is a class
-            # tuple's first, which the representatives keep in window order.
+            # Exact: parts_norm is a pure function of (coeffs, parts), tops being
+            # the parts' maxima, so tuples of one class tuple give bit-identical
+            # values; sup and inf update strictly and the caller sees no
+            # positions, so a repeated value changes neither; and the first
+            # tuple to raise is a class tuple's first, which the
+            # representatives keep in window order.
             for ks in self._window(K, H, len(coeffs)):
                 value = self(coeffs, ks)
                 if value > sup:

@@ -340,36 +340,19 @@ def is_coarser(F: Blocking, E: Blocking) -> bool:
     return True
 
 
-# Enumerations (subsets here, arity tuples below) of at most this many
-# entries come from tables built once and kept for the life of the process;
-# larger ones are walked lazily.  The subset table for n holds 2^n - 1
-# tuples, about 2 MB at n = 15 and twice that for each further element,
-# while a search that succeeds early reads only a few of its entries.
+# Arity tuples of at most this many entries come from tables built once and
+# kept for the life of the process; larger ones are enumerated lazily.
 _TABLE_LIMIT = 1 << 15
 
 
-@lru_cache(maxsize=None)
-def _subset_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Nonempty subsets of {1..n} in lexicographic order.
-
-    Built from its suffixes: the table S(lo) for {lo..n} is (lo,), then
-    (lo,) + r for each r in S(lo + 1), then S(lo + 1) itself.  So the subsets
-    of {lo..n} are exactly the last 2^(n-lo+1) - 1 entries, in the same
-    order, and one table serves every ``lo``.
-    """
-    table: tuple[tuple[int, ...], ...] = ()
-    for lo in range(n, 0, -1):
-        head = (lo,)
-        table = (head,) + tuple([head + rest for rest in table]) + table
-    return table
-
-
-def _subsets_walk(lo: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of {lo..n} (lo <= n) in lexicographic order, lazily.
+def _subsets_from(lo: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of {lo..n} in lexicographic order of sorted tuples, lazily.
 
     The next subset extends the current one by its last element plus one,
     or, when that element is n, drops it and advances the one before.
     """
+    if lo > n:
+        return
     subset = [lo]
     while True:
         yield tuple(subset)
@@ -380,16 +363,6 @@ def _subsets_walk(lo: int, n: int) -> Iterator[tuple[int, ...]]:
             if not subset:
                 return
             subset[-1] += 1
-
-
-def _subsets_from(lo: int, n: int) -> Iterable[tuple[int, ...]]:
-    """Nonempty subsets of {lo..n} in lexicographic order of sorted tuples."""
-    if lo > n:
-        return ()
-    if (1 << n) > _TABLE_LIMIT:
-        return _subsets_walk(lo, n)
-    table = _subset_table(n)
-    return table[len(table) + 1 - (1 << (n - lo + 1)) :]
 
 
 class _Unions(dict):

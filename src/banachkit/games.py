@@ -50,9 +50,10 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-9
 
-# The most structured tuples a stabilized pool may hold.  The README run
-# (n = 3 over [1, 124]) builds 241; 10^5 l_2 3-tuples took about 75 MB and
-# 0.6 s to build (x86-64, Python 3.11), and the size grows with the span.
+# The most structured tuples, and the most random samples, a stabilized pool
+# may hold.  The README run (n = 3 over [1, 124]) builds 241; 10^5 l_2
+# 3-tuples took about 75 MB and 0.6 s to build (x86-64, Python 3.11), and the
+# size grows with the span.
 _POOL_LIMIT = 100_000
 
 
@@ -391,6 +392,8 @@ def asymptotic_lp_verdict(
     _check_at_least("schedule cutoffs", min(schedule), 1)
     _check_epsilon(epsilon)
     _check_at_least("samples", samples, 0)
+    if samples > _POOL_LIMIT:
+        raise ValueError(f"samples must be <= {_POOL_LIMIT}, got {samples}")
     _check_at_least("n", n, 1)
     _check_at_least("window", window, 0)
     reference = LpReference(p, n)

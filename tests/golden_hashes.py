@@ -13,14 +13,16 @@ compares ``random_block_tuple`` with the public-``Random``-method oracle of
 for ``Random`` and for a subclass that overrides only ``random()``, which
 checks on each interpreter that the draw makes the calls those methods
 make.  Then compares the subsets ``combinatorics._subsets_from`` gives with
-the sorted ``combinations`` of ``subset_oracle``: every ground set a table
-serves, and walks past the table limit, whole or their first entries.  Then
+the sorted ``combinations`` of ``subset_oracle``: every ground set {lo..n}
+with n < 16, and larger walks, whole or their first entries.  Then
 compares ``nccb_stabilize`` with the one-coloring-per-tuple loop of
 ``stabilize_oracle`` on its fixed cases.  Then compares the scaled l_p
 kernel with the product list of ``kernel_oracle`` on fixed-seed cases,
 values by ``float.hex`` and errors by type and message.
 Prints one line per mismatch, then a summary line that ends with the
-line count of ``src/``, and exits 1 if there is any mismatch, else exits 0.
+line count of ``src/``, total and code only (a ``tokenize`` count without
+comments, docstrings or blank lines), and exits 1 if there is any mismatch,
+else exits 0.
 Needs only the standard library, so it can check interpreters that have no
 pytest installed.  pytest does not collect this file, since its name does
 not start with ``test_``.
@@ -28,6 +30,7 @@ not start with ``test_``.
 
 import hashlib
 import sys
+import tokenize
 import types
 from pathlib import Path
 from random import Random
@@ -54,11 +57,29 @@ from subset_oracle import subset_order_mismatches  # noqa: E402
 # max_block 30 draws samples whose set size exceeds the default shape's
 DRAW_SHAPES = [(0, 4, 5, False), (1, 2, 30, False), (7, 5, 12, True), (42, 3, 25, False)]
 
-# (lo, n, count) for subset walks past the table limit; count None is the whole walk
+# (lo, n, count) for subset walks on larger ground sets; count None is the whole walk
 SUBSET_WALKS = [(1, 16, None), (9, 16, None), (1, 20, 20000), (1, 40, 20000), (17, 40, 20000)]
 
 # seeds of the kernel differential, and the cases drawn from each
 KERNEL_SEEDS, KERNEL_DRAWS = range(8), 250
+
+# tokens that hold no code
+NOT_CODE = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path: Path) -> int:
+    """Lines of ``path`` that hold code: no blank line, comment or docstring,
+    a docstring being a string that makes up a whole statement."""
+    with path.open("rb") as f:
+        tokens = [t for t in tokenize.tokenize(f.readline) if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for before, token, after in zip([None] + tokens, tokens, tokens[1:] + [None]):
+        if token.type in NOT_CODE or (
+            token.type == tokenize.STRING and before.type in NOT_CODE and after.type == tokenize.NEWLINE
+        ):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
 
 
 def main() -> int:
@@ -117,7 +138,8 @@ def main() -> int:
           f"{stabilize_agree} of {len(STABILIZE_CASES)} stabilization cases, "
           f"{kernel_cases - kernel_failures} of {kernel_cases} kernel cases agree "
           f"on Python {sys.version.split()[0]}; src/ has "
-          f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines")
+          f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines, "
+          f"{sum(code_lines(path) for path in SRC.rglob('*.py'))} of code")
     return 1 if failures else 0
 
 

@@ -718,17 +718,45 @@ class TestAnalysisCommands:
         assert (code, out, err) == (2, "", f"config error: schedule cutoffs must be >= 1, got {low}\n")
 
     @pytest.mark.parametrize(
-        "option, value, span",
+        "argv, error",
         [
-            ("--window", "100000000000", "schedule 1..100 and window 100000000000 span [1, 100000000100], "
-             "which holds 200000000193"),
-            ("--schedule", "1,100000000000", "schedule 1..100000000000 and window 24 span [1, 100000000024], "
-             "which holds 200000000041"),
+            pytest.param(
+                ["stabilized", "--space", LP2, "--n", "3", "--window", "100000000000"],
+                "schedule 1..100 and window 100000000000 span [1, 100000000100], "
+                f"which holds 200000000193 structured block 3-tuples, past the limit of {games._POOL_LIMIT}",
+                id="window",
+            ),
+            pytest.param(
+                ["stabilized", "--space", LP2, "--n", "3", "--schedule", "1,100000000000"],
+                "schedule 1..100000000000 and window 24 span [1, 100000000024], "
+                f"which holds 200000000041 structured block 3-tuples, past the limit of {games._POOL_LIMIT}",
+                id="schedule",
+            ),
+            pytest.param(
+                ["stabilized", "--space", LP2, "--n", "3", "--samples", "100000000000"],
+                f"samples must be <= {games._POOL_LIMIT}, got 100000000000",
+                id="samples",
+            ),
+            pytest.param(
+                ["stabilized", "--space", LP2, "--n", "14"],
+                f"net step 0.25 and max_len 14 give 25736391511816 tuples, past the limit of {analysis._NET_LIMIT}",
+                id="n",
+            ),
+            pytest.param(
+                ["stabilize-nccb", "--space", LP2, "--M", "6", "--net-step", "1e-9"],
+                f"net step 1e-09 and max_len 2 give 4000000006000000000 tuples, past the limit of {analysis._NET_LIMIT}",
+                id="net-step",
+            ),
+            pytest.param(
+                ["stabilize-nccb", "--space", LP2, "--M", "6", "--max-n", "50"],
+                f"net step 0.25 and max_len 50 give {(9 ** 51 - 9) // 8 - 50} tuples, past the limit of {analysis._NET_LIMIT}",
+                id="max-n",
+            ),
         ],
     )
-    def test_a_sample_span_past_the_pool_limit_is_refused_before_building(self, option, value, span):
-        # in a child whose address space is capped at 1 GB, so that a pool
-        # built after all fails there instead of filling the machine
+    def test_a_sample_span_past_the_pool_limit_is_refused_before_building(self, argv, error):
+        # in a child whose address space is capped at 1 GB, so that a pool or
+        # net built after all fails there instead of filling the machine
         pytest.importorskip("resource")
         child = (
             "import resource, sys, time\n"
@@ -739,17 +767,31 @@ class TestAnalysisCommands:
             "print(time.perf_counter() - start)\n"
             "sys.exit(code)\n"
         )
-        argv = ["stabilized", "--space", LP2, "--n", "3", option, value]
         src = str(Path(cli.__file__).resolve().parent.parent)
         done = subprocess.run(
             [sys.executable, "-c", child, *argv],
             capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
         )
         assert done.returncode == 2
-        assert float(done.stdout) < 1.0  # seconds in main
-        assert done.stderr == (
-            f"config error: {span} structured block 3-tuples, past the limit of {games._POOL_LIMIT}\n"
-        )
+        assert float(done.stdout) < 1.0  # seconds in main, and nothing else on stdout
+        assert done.stderr == f"config error: {error}\n"
+
+    @pytest.mark.parametrize("step, max_len", [(1.0, 1), (1.0, 4), (0.5, 3), (0.25, 2), (0.1, 2)])
+    def test_a_net_is_counted_exactly_against_its_limit(self, monkeypatch, step, max_len):
+        size = len(analysis.ScalarNet.grid(step, max_len).tuples)
+        monkeypatch.setattr(analysis, "_NET_LIMIT", size)
+        assert len(analysis.ScalarNet.grid(step, max_len).tuples) == size
+        monkeypatch.setattr(analysis, "_NET_LIMIT", size - 1)
+        with pytest.raises(ValueError, match=f"give {size} tuples, past the limit of {size - 1}$"):
+            analysis.ScalarNet.grid(step, max_len)
+
+    @pytest.mark.parametrize("step, max_len, digits", [(1e-300, 3, 900), (0.25, 100_000_000_000, 95424250943)])
+    def test_a_net_too_large_to_count_is_refused_by_its_digits(self, step, max_len, digits):
+        with pytest.raises(ValueError, match=rf"max_len {max_len} give about 10\^{digits} tuples, past the limit"):
+            analysis.ScalarNet.grid(step, max_len)
+
+    def test_the_net_limit_is_far_above_the_largest_tested_net(self):
+        assert len(analysis.ScalarNet.grid(0.25, 4).tuples) == 7_376 < analysis._NET_LIMIT // 100
 
     def test_the_pool_limit_is_far_above_the_readme_run(self):
         # the README run builds 241 structured tuples; the largest golden or

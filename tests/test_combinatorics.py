@@ -1,13 +1,18 @@
 """Blocking operations and the three monochromatic searches."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from itertools import combinations, islice
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from banachkit import combinatorics
 from banachkit.combinatorics import (
     Blocking,
     Coloring,
@@ -624,7 +629,7 @@ def same_certificate(a, b):
 
 class TestEnumerationAgainstRecursiveOracle:
     def test_subset_tables(self):
-        # every ground set a table serves, against the recursion and the
+        # every ground set {lo..n} with n < 16, against the recursion and the
         # sorted combinations
         assert _TABLE_LIMIT == 1 << 15
         for n in range(0, 16):
@@ -652,6 +657,26 @@ class TestEnumerationAgainstRecursiveOracle:
         assert list(islice(metas, 3)) == list(islice(oracle_arity_tuples_with_last(40, 2), 3))
         cert = hindman_search(constant_coloring(40), 40, 3)
         assert (cert.witness.encode(), cert.nodes_explored) == ("1|2|3", 3)
+
+    def test_a_search_keeps_no_subset_enumeration(self):
+        # in a fresh child, so that no earlier test has built anything the
+        # search could reuse; tables of every subset of {1..14} and of
+        # {1..15}, which this search would read from, hold about 5 MB
+        child = (
+            "import tracemalloc\n"
+            "from banachkit.combinatorics import constant_coloring, hindman_search\n"
+            "tracemalloc.start()\n"
+            "cert = hindman_search(constant_coloring(16), 16, 3)\n"
+            "print(cert.witness.encode(), cert.nodes_explored, tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = str(Path(combinatorics.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        witness, nodes, held = done.stdout.split()
+        assert (witness, nodes) == ("1|2|3", "3")
+        assert int(held) < 64 * 1024
 
     @settings(max_examples=80, deadline=None)
     @given(P=blockings())

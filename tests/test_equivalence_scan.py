@@ -465,6 +465,26 @@ class TestWorkCounts:
         assert len(indicators) == 247 and len(set(indicators)) == 247
         assert len(kernel_calls) == 4_960
 
+    def test_a_second_scan_finds_the_reference_norms_without_hashing(self, monkeypatch):
+        class HashCounted(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                HashCounted.hashes += 1
+                return super().__hash__()
+
+        net = ScalarNet.grid(0.25, 3)
+        reps = HashCounted(net.representatives(3, True))
+        net.__dict__["_representatives"][3, True] = reps
+        norms = []
+        coeff_norm = LpReference.coeff_norm
+        monkeypatch.setattr(LpReference, "coeff_norm", lambda self, t: norms.append(t) or coeff_norm(self, t))
+        reference, seq = LpReference(2.0, 3), [SparseVector.unit(i) for i in (1, 2, 3)]
+        first = equivalence_constant(Lp(2.0), seq, reference, net=net)
+        assert equivalence_constant(Lp(2.0), seq, reference, net=net) == first
+        assert HashCounted.hashes == 0
+        assert len(norms) == 124 + 2 * 2  # the representatives once, two certificates per scan
+
     def test_reference_memo_is_invisible_to_equality_hash_repr_and_describe(self):
         warm, cold = LpReference(2.0, 3), LpReference(2.0, 3)
         before = (repr(warm), hash(warm), warm.describe())

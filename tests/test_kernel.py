@@ -25,7 +25,7 @@ from banachkit.analysis import (
     norm_quantization_coloring,
     spreading_model_estimate,
 )
-from banachkit import blockseq, games
+from banachkit import blockseq, games, spaces
 from banachkit.blockseq import BlockSequence, CombinationNorm, combine, nccb_from_blocking
 from banachkit.combinatorics import Blocking, coarsenings
 from banachkit.games import AsymptoticReport, AsymptoticVerdict, _tuple_pool, asymptotic_lp_verdict
@@ -443,14 +443,16 @@ OVERLAPPING = [
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
+    # CombinationNorm measures through spec.parts_norm: Lp's own, and the
+    # default of every other kind
     calls = []
-    real = blockseq.combination_norm
+    for cls in (spaces._Space, Lp):
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+        def counted(self, *args, real=cls.parts_norm):
+            calls.append(args)
+            return real(self, *args)
 
-    monkeypatch.setattr(blockseq, "combination_norm", counted)
+        monkeypatch.setattr(cls, "parts_norm", counted)
     return calls
 
 
