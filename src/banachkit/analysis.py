@@ -709,24 +709,13 @@ def norm_quantization_coloring(
     they land in finitely many cells; a monochromatic family has oscillation
     below ``quantum``.  A ground set past a finite space raises here.
 
-    Blocks fall into classes: a class is one distinct list of coordinates
-    ``spec.coordinates(y_E)``, and in Lp, C0 and LpSum many blocks share one
-    (equal sizes, in the same segments).  ``cache`` maps a block's elements
-    to its class id, and its ``None`` entry holds the class table: the
-    coordinates of each class, stored once, and the id of each coordinate
-    list.  It may be shared by colorings of the same space.  Each coloring
-    memoizes its colors by the tuple of its blocks' class ids.  The memo is
-    exact: ``combination_norm`` is a pure function of the coefficients and
-    the coordinate lists, so blockings with equal class tuples have
-    bit-identical norms and the same color.
-
-    The coloring's ``classes`` serve the Milliken-Taylor search and
-    ``verify_stabilization``, which color class tuples without listing
-    coarsenings.  They rely on the union rule: for A below B, the
-    coordinate keys of A u B are those of A and then those of B (for an
-    Interleave, part by part), and the keys fix the normalized coordinates,
-    so the class of A u B is a function of the classes of A and B.  Their
-    merge memo belongs to the coloring.
+    Blocks fall into classes, one per ``spec.class_key`` of y_E, which says
+    why the memos here are exact.  ``cache`` maps a block's elements to its
+    class id, and its ``None`` entry holds the class table: the coordinates
+    of each class's first block and the id of each key; colorings of one
+    space may share it.  Each coloring memoizes colors by class tuple; its
+    ``classes`` let the Milliken-Taylor search and ``verify_stabilization``
+    color class tuples, with a merge memo, without listing coarsenings.
     """
     _check_quantum(quantum)
     coeffs = tuple(float(c) for c in coeffs)
@@ -742,7 +731,7 @@ def norm_quantization_coloring(
         if cid is None:
             indicator = SparseVector.indicator(elements)
             coords = tuple(spec.coordinates(indicator.scale(1.0 / spec.norm(indicator))))
-            cid = class_of[elements] = class_ids.setdefault(coords, len(class_coords))
+            cid = class_of[elements] = class_ids.setdefault(spec.class_key(coords), len(class_coords))
             if cid == len(class_coords):
                 class_coords.append(coords)
         return cid

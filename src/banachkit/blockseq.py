@@ -263,7 +263,7 @@ class CombinationNorm:
 
         On the ``combine`` path every tuple is evaluated, otherwise only the
         first tuple of each distinct class tuple, in window order; a
-        position's class is its coordinate list.  Results are memoized by
+        position's class is its ``spec.class_key``.  Results are memoized by
         (coefficients, K, H), with the sign-free key of the coefficients
         when ``unconditional``.
         """
@@ -271,12 +271,9 @@ class CombinationNorm:
         extremes = self._extremes.get(key)
         if extremes is None:
             sup, inf = -math.inf, math.inf
-            # Exact: parts_norm is a pure function of (coeffs, parts), tops being
-            # the parts' maxima, so tuples of one class tuple give bit-identical
-            # values; sup and inf update strictly and the caller sees no
-            # positions, so a repeated value changes neither; and the first
-            # tuple to raise is a class tuple's first, which the
-            # representatives keep in window order.
+            # Tuples of one class tuple give one value or one error; sup and inf
+            # update strictly and hold no positions, and the representatives
+            # keep window order, so the first tuple to raise is still first.
             for ks in self._window(K, H, len(coeffs)):
                 value = self(coeffs, ks)
                 if value > sup:
@@ -293,7 +290,7 @@ class CombinationNorm:
         reps = self._windows.get((K, H, n))
         if reps is None:
             table: dict = {}
-            ids = {k: table.setdefault(tuple(self.parts[k - 1]), len(table)) for k in range(K, K + H + 1)}
+            ids = {k: table.setdefault(self.spec.class_key(self.parts[k - 1]), len(table)) for k in range(K, K + H + 1)}
             first: dict[tuple[int, ...], tuple[int, ...]] = {}
             for ks in tuples:
                 first.setdefault(tuple([ids[k] for k in ks]), ks)

@@ -36,6 +36,7 @@ from .analysis import (
 )
 from .blockseq import BlockSequence, interleave_array, nccb_from_blocking, tree_from_array, branch
 from .combinatorics import (
+    BlockClasses,
     Blocking,
     Coloring,
     constant_coloring,
@@ -150,9 +151,11 @@ def _coloring_from_args(args, kind: str, ground: int, spec=None, arity: int | No
         color = _convert(int, param or "0", "--coloring constant:v needs an integer v", text)
         return constant_coloring(ground, color, kind=kind, arity=arity)
     if name == "first-min-parity" and kind == "blocking":
+        # exact classes: the min of a union is the min of its lower set
         return Coloring(
             kind="blocking", colors=2, ground=ground, arity=arity,
             fn=lambda blocks: blocks[0].min() % 2, name="first-min-parity",
+            classes=BlockClasses(of=lambda i, e: e[0] % 2 if i == 0 else -1, color=lambda key: key[0]),
         )
     if name == "norm-quant" and kind == "blocking":
         if spec is None:

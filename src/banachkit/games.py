@@ -245,9 +245,8 @@ def _structured_tuples(
     """Deterministic candidates: consecutive normalized units, then pair blocks.
 
     Each block is built once per (width, start index) and shared by every
-    tuple that holds it.  Its norm is computed once per coordinate list,
-    since ``norm(v)`` is ``coordinate_norm(coordinates(v))``: in l_p, once
-    per width.
+    tuple that holds it.  Its norm is computed once per ``spec.class_key``:
+    in l_p, once per width.
     """
     out = []
     norms: dict[tuple, float] = {}
@@ -259,10 +258,10 @@ def _structured_tuples(
                 v = blocks.get(i)
                 if v is None:
                     v = SparseVector.indicator(range(i, i + width))
-                    coords = tuple(spec.coordinates(v))
-                    if coords not in norms:
-                        norms[coords] = spec.coordinate_norm(coords)
-                    v = blocks[i] = v.scale(1.0 / norms[coords])
+                    key = spec.class_key(coords := spec.coordinates(v))
+                    if key not in norms:
+                        norms[key] = spec.coordinate_norm(coords)
+                    v = blocks[i] = v.scale(1.0 / norms[key])
                 vectors.append(v)
             out.append(BlockSequence(vectors))
     return out
@@ -414,20 +413,16 @@ def asymptotic_lp_verdict(
     scans: dict[tuple, EquivalenceReport] = {}
     # keyed by id(v): the pool keeps every vector alive for the whole call,
     # so no id is reused while the memo is read
-    coords: dict[int, tuple] = {}
+    keys: dict[int, object] = {}
     reports = []
     for seq in pool:
-        # The scan reads ``seq`` only through ``CombinationNorm(spec, seq).parts``
-        # (``unconditional`` is derived from it) and ``spec.norm(v)``, which is
-        # ``coordinate_norm(coordinates(v))``.  A BlockSequence has successive
-        # supports, so both are functions of this key (each block's
-        # coordinates, in tuple order) and tuples with one key get equal
-        # reports.  Every pool vector was normed when the pool was built, so
-        # the key cannot raise.
+        # The scan reads ``seq`` only through combination norms, so tuples with
+        # one tuple of ``spec.class_key``s get equal reports.  Every pool
+        # vector was normed when the pool was built, so no key raises.
         for v in seq:
-            if id(v) not in coords:
-                coords[id(v)] = tuple(spec.coordinates(v))
-        key = tuple([coords[id(v)] for v in seq])
+            if id(v) not in keys:
+                keys[id(v)] = spec.class_key(spec.coordinates(v))
+        key = tuple([keys[id(v)] for v in seq])
         if key not in scans:
             scans[key] = equivalence_constant(spec, seq, reference, net=net)
         reports.append(scans[key])

@@ -242,21 +242,6 @@ def _check_exponent(p: float) -> float:
     return p
 
 
-# Coordinates: every kind measures a vector through one formula,
-# ``coordinate_norm``, applied to its nonzero coordinates as (key, value)
-# pairs, and every kind's ``norm(v)`` is ``coordinate_norm(coordinates(v))``.
-# The key is whatever the formula needs besides the value: ``None`` for Lp
-# and C0, whose formulas read values only, the index for James, an LpSum
-# segment; ``coordinates(v)`` computes the keys once.  Coordinates arrive in
-# index order, so an LpSum's keys never decrease and it sums each segment as
-# one run of equal keys.  Vectors with equal coordinate lists are
-# interchangeable for every norm computed from them
-# (``norm_quantization_coloring`` relies on it).  For vectors with
-# successively increasing supports, the concatenated coordinates are those
-# of their sum, so a combination can be measured from its parts without
-# building it (``combination_norm``).
-
-
 class _Space:
     """The norm and coordinate protocol shared by the five space kinds."""
 
@@ -275,6 +260,24 @@ class _Space:
         """The norm of the vector whose nonzero coordinates are ``coords``, in
         index order; ``LpSum`` sums each segment as one run of equal keys."""
         raise NotImplementedError
+
+    def class_key(self, coords) -> object:
+        """The class of the vector whose nonzero coordinates are ``coords``.
+
+        ``norm(v)`` is ``coordinate_norm(coordinates(v))``, in index order, a
+        coordinate's key being what the formula reads besides the value:
+        ``None`` in Lp and C0, an LpSum segment, a James index.  The contract:
+        successive vectors with equal class keys, position by position, give
+        bit-identical ``combination_norm`` values, or one error, for every
+        coefficient tuple (so one ``parts_norm`` and ``norm``); every memo
+        keyed by a vector or a block relies on it.  The default key, the
+        coordinates, fixes the combination's coordinates.  A sum of successive
+        vectors, or a vector with each nonzero value made 1, has a key that is
+        a function of theirs, so for sets A below B the key of A u B's
+        indicator scaled to norm one is a function of A's and B's (the union
+        rule of ``norm_quantization_coloring``'s classes).
+        """
+        return tuple(coords)
 
     def parts_norm(self, coeffs, parts, tops) -> float:
         """``combination_norm(self, coeffs, parts)``, where ``tops[i]`` is the
@@ -554,6 +557,19 @@ class James(_Space):
 
     def coordinates(self, v: SparseVector) -> list[tuple[int, float]]:
         return list(v._entries.items())
+
+    def class_key(self, coords) -> object:
+        """(first index, last index, ``_candidates``), or ``()`` for no coordinates.
+
+        The norm reads the profile x_1, ..., x_{m+1} only through its runs of
+        equal values, which ``_candidates`` lists.  A combination's profile is
+        each vector's profile times its coefficient, from its first to its
+        last index, with zeros around them and where a product rounds to
+        zero.  Equal values give equal products, so runs compress before or
+        after multiplying alike, and the first non-finite product has one
+        value.  The key fixes each vector's compressed profile and the gaps.
+        """
+        return (coords[0][0], coords[-1][0], tuple(self._candidates(coords))) if coords else ()
 
     def _candidates(self, coords) -> list[float]:
         # Consecutive equal values are interchangeable for the supremum, so

@@ -18,7 +18,9 @@ with n < 16, and larger walks, whole or their first entries.  Then
 compares ``nccb_stabilize`` with the one-coloring-per-tuple loop of
 ``stabilize_oracle`` on its fixed cases.  Then compares the scaled l_p
 kernel with the product list of ``kernel_oracle`` on fixed-seed cases,
-values by ``float.hex`` and errors by type and message.
+values by ``float.hex`` and errors by type and message.  Then checks, per
+space of ``class_key_oracle`` and seed, that drawn block tuples with equal
+class keys give equal combination norms.
 Prints one line per mismatch, then a summary line that ends with the
 line count of ``src/``, total and code only (a ``tokenize`` count without
 comments, docstrings or blank lines), and exits 1 if there is any mismatch,
@@ -48,6 +50,7 @@ except ImportError:
 
 import test_golden  # noqa: E402
 from banachkit.spaces import make_example_space  # noqa: E402
+from class_key_oracle import CLASS_KEY_SEEDS, CLASS_SPACES, class_key_mismatches  # noqa: E402
 from draw_oracle import RandomOverridingRandom, draw_mismatches  # noqa: E402
 from kernel_oracle import kernel_mismatches  # noqa: E402
 from stabilize_oracle import STABILIZE_CASES, stabilize_mismatches  # noqa: E402
@@ -129,6 +132,12 @@ def main() -> int:
         failures += mismatches
         kernel_failures += len(mismatches)
     kernel_cases = len(KERNEL_SEEDS) * KERNEL_DRAWS
+    class_key_cases = [(spec, seed) for spec in CLASS_SPACES.values() for seed in CLASS_KEY_SEEDS]
+    class_key_agree = 0
+    for spec, seed in class_key_cases:
+        mismatches = class_key_mismatches(spec, seed)
+        failures += mismatches
+        class_key_agree += not mismatches
     for line in failures:
         print(line)
     print(f"{len(test_golden.GOLDEN) + 2 - hash_failures} of {len(test_golden.GOLDEN) + 2} hashes match, "
@@ -136,7 +145,8 @@ def main() -> int:
           f"{draw_agree} of {len(draw_cases)} draw cases, "
           f"{subset_agree} of {len(subset_cases)} subset-order cases, "
           f"{stabilize_agree} of {len(STABILIZE_CASES)} stabilization cases, "
-          f"{kernel_cases - kernel_failures} of {kernel_cases} kernel cases agree "
+          f"{kernel_cases - kernel_failures} of {kernel_cases} kernel cases, "
+          f"{class_key_agree} of {len(class_key_cases)} class-key cases agree "
           f"on Python {sys.version.split()[0]}; src/ has "
           f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines, "
           f"{sum(code_lines(path) for path in SRC.rglob('*.py'))} of code")

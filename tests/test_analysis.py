@@ -1,6 +1,7 @@
 """Goodness verdicts, spreading estimates, equivalence constants,
 extraction, stabilization, and the Krivine slope estimator."""
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -12,7 +13,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from banachkit import analysis, combinatorics
+from banachkit import analysis, cli, combinatorics
 from banachkit.analysis import (
     LpReference,
     ScalarNet,
@@ -64,6 +65,7 @@ from banachkit.spaces import (
     type_p_witness,
 )
 
+from class_key_oracle import CLASS_KEY_SEEDS, CLASS_SPACES, class_key_mismatches, key_groups
 from draw_oracle import RandomOverridingRandom, draw_mismatches, oracle_random_block_tuple
 from stabilize_oracle import STABILIZE_CASES, oracle_nccb_stabilize, stabilize_mismatches
 
@@ -718,21 +720,6 @@ def oracle_quantization_coloring(spec, coeffs, quantum):
     return fn
 
 
-CLASS_SPACES = {
-    "lp1": Lp(1.0),
-    "lp1.5": Lp(1.5),
-    "lp2": Lp(2.0),
-    "lpinf": Lp(math.inf),
-    "c0": C0(),
-    "example": make_example_space(2.0, 3, [1.0, 1.5, 1.8]),
-    # segments {1, 2}, {3, 4, 5}, {6..10}: blocks of {1..10} cross them
-    "lp_sum-crossing": LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5)),
-    "interleave-lp-c0": Interleave(Lp(1.5), C0(), "sum"),
-    "interleave-lp-james": Interleave(Lp(2.0), James(), "max"),
-    "james": James(),
-}
-
-
 @st.composite
 def blockings_of_ten(draw, arity):
     """A blocking of ``arity`` blocks, drawn from the subsets of {1..10}."""
@@ -783,7 +770,7 @@ class TestColoringClassMemo:
     @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
     @settings(max_examples=25, deadline=None)
     @given(case=coloring_cases())
-    def test_blocks_share_a_class_exactly_when_their_coordinates_are_equal(self, name, case):
+    def test_blocks_share_a_class_exactly_when_their_class_keys_are_equal(self, name, case):
         spec = CLASS_SPACES[name]
         colorings, blockings = case
         cache = {}
@@ -796,10 +783,20 @@ class TestColoringClassMemo:
         for elements in measured:
             indicator = SparseVector.indicator(elements)
             coords = spec.coordinates(indicator.scale(1.0 / spec.norm(indicator)))
-            assert list(classes[cache[elements]]) == coords
-        # one stored list per class, and every class has a block
-        assert len(set(classes)) == len(classes)
+            # a member's key is its class representative's
+            assert spec.class_key(coords) == spec.class_key(classes[cache[elements]])
+        # one key per class, and every class has a block
+        assert len({spec.class_key(coords) for coords in classes}) == len(classes)
         assert {cache[elements] for elements in measured} == set(range(len(classes)))
+
+    @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
+    def test_equal_class_keys_give_equal_combination_norms(self, name):
+        # class_key_oracle.py, which golden_hashes.py runs too
+        spec = CLASS_SPACES[name]
+        assert [line for seed in CLASS_KEY_SEEDS for line in class_key_mismatches(spec, seed)] == []
+        if isinstance(spec, James):
+            # the James key is coarser than the coordinates: groups of several do occur
+            assert any(len(members) > 1 for members in key_groups(spec, 0, 2000).values())
 
     def test_zero_coefficient_blocks_are_never_normalized(self):
         spec = LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5))
@@ -862,8 +859,8 @@ class TestColoringClassMemo:
             (make_example_space(2.0, 3, [1.0, 1.5, 1.8]), [(3, 4), (5, 6), (60, 61)], [(1, 2), (2, 3), (67, 68)]),
             (LpSum(2.0, (1.0, 1.5, 1.8), (2, 3, 5)), [(3, 4), (4, 5)], [(2, 3), (5, 6), (6, 7)]),
             (Interleave(Lp(1.5), C0(), "sum"), [(1, 2), (2, 3), (5, 6)], [(1, 3), (2, 4)]),
-            # equal sizes at different positions: James reads the gaps and positions
-            (James(), [], [(1, 2), (4, 5), (7, 8)]),
+            # James reads the first and last index and the runs and gaps between
+            (James(), [(2, 3, 5), (2, 4, 5)], [(1, 2), (4, 5), (7, 8)]),
             (Interleave(Lp(2.0), James(), "max"), [], [(1, 2), (3, 4)]),
         ],
         ids=["lp", "c0", "example", "lp_sum-crossing", "interleave-lp-c0", "james", "interleave-lp-james"],
@@ -984,6 +981,20 @@ class TestClassTupleWalk:
         walked = milliken_taylor_search(walking(coloring), P, k, L)
         oracle = norm_quantization_coloring(spec, coeffs, quantum, 10)
         expected = milliken_taylor_search(enumerating(oracle), P, k, L)
+        assert (walked.found, walked.witness, walked.color, walked.nodes_explored) == (
+            expected.found, expected.witness, expected.color, expected.nodes_explored,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=walk_cases())
+    def test_first_min_parity_classes_match_the_enumeration(self, case):
+        P, k, L, _, _ = case
+        args = argparse.Namespace(coloring="first-min-parity")
+        coloring = cli._coloring_from_args(args, "blocking", 10, arity=k)
+        expected = {coloring.of_blocking(F) for F in coarsenings(P, k)}
+        assert _coarsening_colors(walking(coloring), P, k) == expected
+        walked = milliken_taylor_search(walking(coloring), P, k, L)
+        expected = milliken_taylor_search(enumerating(coloring), P, k, L)
         assert (walked.found, walked.witness, walked.color, walked.nodes_explored) == (
             expected.found, expected.witness, expected.color, expected.nodes_explored,
         )

@@ -43,7 +43,10 @@ The sandwich digest hashes the report of 2 000 trials of
 the drawn blocks, vectors, coefficients, norms and bounds that the
 ``verify-example-space`` goldens, whose trials all pass, do not print; it was
 taken before the ``LpSum`` norm summed each segment as one run of equal keys
-instead of gathering segment masses in a dict.
+instead of gathering segment masses in a dict.  The James goodness window,
+the James norm-quantized Milliken-Taylor search and the interleave(l_2,
+James) stabilization were hashed before James blocks were classed by first
+index, last index and compressed profile instead of by their coordinates.
 ``main`` builds only the invoked command's subparser, so ``parser_cases``
 runs five argument lists per command through ``main`` and through the full
 ``build_parser()``, which must agree in exit code, stdout and stderr.  ``tests/golden_hashes.py`` checks all
@@ -149,6 +152,27 @@ GOLDEN = {
             "--net-step", "0.5", "--max-n", "2", "--verify",
         ],
         "2fde559e472c35af6f0667d4ea92edd12641b6c184a819f50ebf7e378bf5127e",
+    ),
+    "goodness-james-window": (
+        [
+            "goodness", "--space", '{"kind":"james"}', "--blocking", "1|2,3|5|6,7|9|10,11,12|14|15,16",
+            "--net-step", "0.5", "--max-n", "2", "--horizon", "1,6",
+        ],
+        "64a7e65f4806c68058837e0e4b9fd56c8ff7f9da5d932fea317c1bd29757a730",
+    ),
+    "milliken-norm-quant-james": (
+        [
+            "milliken", "--coloring", "norm-quant", "--space", '{"kind":"james"}', "--coeffs", "1,-1",
+            "--P", "singletons:10", "--k", "2", "--L", "4",
+        ],
+        "97babaf20f1d3eed5803dc9592455b7606541c309f4c008fffb70d63dfc180f0",
+    ),
+    "stabilize-interleave-lp-james": (
+        [
+            "stabilize-nccb", "--space", '{"kind":"interleave","a":{"kind":"lp","p":2},"b":{"kind":"james"}}',
+            "--M", "10", "--net-step", "0.5", "--max-n", "2", "--verify",
+        ],
+        "f2ff229008c7b7492782da8262a8815b0b2b3e8b23251dc8e233a6007ced7f0a",
     ),
     "milliken-norm-quant": (
         [
