@@ -33,7 +33,6 @@ from .combinatorics import (
     FiniteSet,
     _Report,
     _check_at_least,
-    _coarsening_colors,
     _table,
     milliken_taylor_search,
     ramsey_search,
@@ -190,6 +189,8 @@ class GoodnessRecord(_Report):
 
 @dataclass(frozen=True)
 class GoodnessReport(_Report):
+    """Window records of every net tuple and the verdict they give."""
+
     records: tuple[GoodnessRecord, ...]
     verdict: str
     epsilon: float
@@ -290,6 +291,8 @@ def goodness_test(
 
 @dataclass(frozen=True)
 class SpreadingRecord(_Report):
+    """Spreading estimate of one coefficient tuple at one horizon."""
+
     coeffs: tuple[float, ...]
     horizon: int
     H: int
@@ -300,6 +303,8 @@ class SpreadingRecord(_Report):
 
 @dataclass(frozen=True)
 class SpreadingEstimate(_Report):
+    """Spreading records over every horizon, with the fitted exponent."""
+
     records: tuple[SpreadingRecord, ...]
     horizons: tuple[int, ...]
     monotone_oscillation: bool
@@ -416,7 +421,7 @@ class LpReference:
         return {"kind": "lp", "p": _p_doc(self.p), "n": self.n}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SequenceReference:
     """An explicit sequence in an explicit space as the reference object."""
 
@@ -577,6 +582,8 @@ def _on_reference_sphere(coeffs: tuple[float, ...], reference: Reference) -> tup
 
 @dataclass(frozen=True)
 class ExtractionStep(_Report):
+    """Outcome of the subsequence search for one coefficient tuple."""
+
     coeffs: tuple[float, ...]
     epsilon: float
     found: bool
@@ -586,6 +593,8 @@ class ExtractionStep(_Report):
 
 @dataclass(frozen=True)
 class ExtractionResult(_Report):
+    """Extracted subsequence indices, the steps that chose them and their goodness."""
+
     indices: tuple[int, ...]
     complete: bool
     certified: bool
@@ -765,6 +774,8 @@ def norm_quantization_coloring(
 
 @dataclass(frozen=True)
 class StabilizationStep(_Report):
+    """Search outcome of one net tuple and the blocking it leaves."""
+
     coeffs: tuple[float, ...]
     length: int
     found: bool
@@ -880,24 +891,32 @@ def verify_stabilization(
 ) -> bool:
     """Check, per tuple, that the result's length-n coarsenings are monochromatic.
 
-    Each tuple's coloring walks the class tuples of the coarsenings through
-    ``_class_step`` and the merge memo (``_coarsening_colors``), without
-    listing them or memoizing steps, and colors each distinct one once.
-    That walk is the search's own, so this is no independent check.  In an
+    The check is the search's own certificate for P itself: each tuple's
+    coloring asks ``milliken_taylor_search`` for a coarsening of P of length
+    ``len(P)``.  That search has one candidate path, P's blocks one per
+    node, and colors each length-n coarsening of P at the node of its last
+    block, so it finds P exactly when all those colors are one.  It shares
+    the search's class walk, so this is no independent check.  In an
     unconditional space the tuples t, -t and |t| color every blocking alike
     (their combination norms are the same float operations up to sign), so
-    only each sign family's first tuple is colored.
+    only each sign family's first tuple is colored.  As in
+    ``nccb_stabilize``, colorings with one zero pattern share one class
+    walk and its step memo; on the one path, every step of a pattern's later
+    searches is a memo hit.
     """
     P = result.blocking
     cache: dict = {}
     for n in net.lengths():
         if len(P) < n:
             break
+        walks: dict = {}  # by zero pattern, which fixes n
         for coeffs in net.representatives(n, spec.unconditional):
             coloring = norm_quantization_coloring(
                 spec, coeffs, result.quantum, result.ground, cache=cache
             )
-            if len(_coarsening_colors(coloring, P, n)) > 1:
+            walk = walks.setdefault(tuple(c != 0.0 for c in coeffs), replace(coloring.classes, steps={}))
+            coloring = replace(coloring, classes=replace(walk, color=coloring.classes.color))
+            if not milliken_taylor_search(coloring, P, n, len(P)).found:
                 return False
     return True
 
@@ -909,6 +928,8 @@ def verify_stabilization(
 
 @dataclass(frozen=True)
 class KrivineReport(_Report):
+    """Krivine exponent fitted to the growth of NCCB norms over singletons."""
+
     p_estimate: float
     slope: float
     r_squared: float
@@ -961,6 +982,8 @@ def krivine_p_estimate(spec: SpaceSpec, max_n: int, start: int = 1) -> KrivineRe
 
 @dataclass(frozen=True)
 class ExampleSpaceReport(_Report):
+    """Sandwich failures and type checks of the example space."""
+
     passed: bool
     trials: int
     sandwich_failures: tuple[dict, ...]

@@ -45,7 +45,7 @@ class InvalidBlockSequenceError(ValueError):
     """Vector list violates the successively-increasing support invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockSequence:
     """Finite list of sparse vectors with successively increasing supports."""
 
@@ -79,7 +79,7 @@ class BlockSequence:
         return [v.to_pairs() for v in self.vectors]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockArray:
     """Finite stack of rows, each row a block sequence (finite row truncations)."""
 

@@ -109,7 +109,7 @@ def _check_at_least(name: str, value: int, least: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FiniteSet:
     """Nonempty finite set of positive integers, stored strictly increasing."""
 
@@ -167,7 +167,7 @@ class FiniteSet:
         return "{" + self.encode() + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Blocking:
     """Finite list of finite sets, each entirely below the next."""
 
@@ -622,21 +622,6 @@ def _class_step(
     return following, finals
 
 
-def _coarsening_colors(coloring: Coloring, P: Blocking, k: int) -> set[int]:
-    """The colors of the length-k coarsenings of P, for a coloring with ``classes``.
-
-    P must lie in the ground set; its blocks walk through ``_class_step``
-    and each distinct class tuple is colored once.
-    """
-    _check_ground(coloring, P)
-    states: Mapping = _START
-    keys: set[tuple[int, ...]] = set()
-    for room, block in zip(range(len(P) - 1, -1, -1), P):
-        states, finals = _class_step(coloring.classes, k, states, block.elements, room)
-        keys |= finals
-    return {coloring.classes.color(key) for key in keys}
-
-
 def _check_arity(coloring: Coloring, k: int) -> None:
     if coloring.arity is not None and coloring.arity != k:
         raise ValueError(
@@ -667,6 +652,11 @@ def milliken_taylor_search(coloring: Coloring, P: Blocking, k: int, L: int) -> S
     does not depend on query order: at depth k the one coarsening sets the
     color, deeper every color must equal it.  So the certificate is the one
     the enumeration gives.
+
+    With L = len(P) the one candidate path is P's blocks, one per node, and
+    each length-k coarsening of P is colored at the node of its last block;
+    so the search finds P exactly when P's length-k coarsenings are
+    monochromatic, which is how ``verify_stabilization`` checks a result.
     """
     if coloring.kind != "blocking":
         raise ValueError("milliken_taylor_search needs a blocking coloring")

@@ -459,6 +459,8 @@ def asymptotic_lp_verdict(
 
 @dataclass(frozen=True)
 class BranchExtraction(_Report):
+    """Branch chosen through a block tree, with its path and goodness."""
+
     branch: BlockSequence
     path: tuple[int, ...]
     complete: bool

@@ -347,6 +347,8 @@ def _lp_parts_norm(spec: Lp, coeffs, parts, tops) -> float:
 
 @dataclass(frozen=True)
 class Lp(_Space):
+    """The sequence space l_p, 1 <= p <= inf."""
+
     kind = "lp"
     p: float
 
@@ -367,6 +369,8 @@ class Lp(_Space):
 
 @dataclass(frozen=True)
 class C0(_Space):
+    """The sequence space c_0 with the sup norm."""
+
     kind = "c0"
 
     def coordinate_norm(self, coords) -> float:

@@ -16,15 +16,17 @@ make.  Then compares the subsets ``combinatorics._subsets_from`` gives with
 the sorted ``combinations`` of ``subset_oracle``: every ground set {lo..n}
 with n < 16, and larger walks, whole or their first entries.  Then
 compares ``nccb_stabilize`` with the one-coloring-per-tuple loop of
-``stabilize_oracle`` on its fixed cases.  Then compares the scaled l_p
+``stabilize_oracle`` on its fixed cases, and ``verify_stabilization``
+with the walk verify of ``stabilize_oracle`` on seeded results in every
+space of ``class_key_oracle``.  Then compares the scaled l_p
 kernel with the product list of ``kernel_oracle`` on fixed-seed cases,
 values by ``float.hex`` and errors by type and message.  Then checks, per
 space of ``class_key_oracle`` and seed, that drawn block tuples with equal
 class keys give equal combination norms.
-Prints one line per mismatch, then a summary line that ends with the
-line count of ``src/``, total and code only (a ``tokenize`` count without
-comments, docstrings or blank lines), and exits 1 if there is any mismatch,
-else exits 0.
+Prints one line per mismatch, then the line count of each module of
+``src/``, total and code only (a ``tokenize`` count without comments,
+docstrings or blank lines), then a summary line that ends with those counts
+for all of ``src/``, and exits 1 if there is any mismatch, else exits 0.
 Needs only the standard library, so it can check interpreters that have no
 pytest installed.  pytest does not collect this file, since its name does
 not start with ``test_``.
@@ -53,7 +55,7 @@ from banachkit.spaces import make_example_space  # noqa: E402
 from class_key_oracle import CLASS_KEY_SEEDS, CLASS_SPACES, class_key_mismatches  # noqa: E402
 from draw_oracle import RandomOverridingRandom, draw_mismatches  # noqa: E402
 from kernel_oracle import kernel_mismatches  # noqa: E402
-from stabilize_oracle import STABILIZE_CASES, stabilize_mismatches  # noqa: E402
+from stabilize_oracle import STABILIZE_CASES, VERIFY_SEEDS, stabilize_mismatches, verify_mismatches  # noqa: E402
 from subset_oracle import subset_order_mismatches  # noqa: E402
 
 # (seed, max_n, max_block, constant_coefficients) for the draw differential;
@@ -126,6 +128,13 @@ def main() -> int:
         mismatches = stabilize_mismatches(*case)
         failures += mismatches
         stabilize_agree += not mismatches
+    verify_cases = verify_agree = 0
+    for spec in CLASS_SPACES.values():
+        for seed in VERIFY_SEEDS:
+            mismatches, verdicts = verify_mismatches(spec, seed)
+            failures += mismatches
+            verify_cases += len(verdicts)
+            verify_agree += len(verdicts) - len(mismatches)
     kernel_failures = 0
     for seed in KERNEL_SEEDS:
         mismatches = kernel_mismatches(seed, KERNEL_DRAWS)
@@ -140,16 +149,20 @@ def main() -> int:
         class_key_agree += not mismatches
     for line in failures:
         print(line)
+    modules = sorted(SRC.rglob("*.py"))
+    counts = [(len(path.read_bytes().splitlines()), code_lines(path)) for path in modules]
+    for path, (total, code) in zip(modules, counts):
+        print(f"{path.relative_to(SRC)}: {total} lines, {code} of code")
     print(f"{len(test_golden.GOLDEN) + 2 - hash_failures} of {len(test_golden.GOLDEN) + 2} hashes match, "
           f"{len(cases) + hash_failures - parser_failures} of {len(cases)} parser cases agree, "
           f"{draw_agree} of {len(draw_cases)} draw cases, "
           f"{subset_agree} of {len(subset_cases)} subset-order cases, "
           f"{stabilize_agree} of {len(STABILIZE_CASES)} stabilization cases, "
+          f"{verify_agree} of {verify_cases} verify cases, "
           f"{kernel_cases - kernel_failures} of {kernel_cases} kernel cases, "
           f"{class_key_agree} of {len(class_key_cases)} class-key cases agree "
           f"on Python {sys.version.split()[0]}; src/ has "
-          f"{sum(len(path.read_bytes().splitlines()) for path in SRC.rglob('*.py'))} lines, "
-          f"{sum(code_lines(path) for path in SRC.rglob('*.py'))} of code")
+          f"{sum(total for total, _ in counts)} lines, {sum(code for _, code in counts)} of code")
     return 1 if failures else 0
 
 

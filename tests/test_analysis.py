@@ -46,7 +46,6 @@ from banachkit.combinatorics import (
     FiniteSet,
     _START,
     _class_step,
-    _coarsening_colors,
     coarsenings,
     constant_coloring,
     milliken_taylor_search,
@@ -67,7 +66,13 @@ from banachkit.spaces import (
 
 from class_key_oracle import CLASS_KEY_SEEDS, CLASS_SPACES, class_key_mismatches, key_groups
 from draw_oracle import RandomOverridingRandom, draw_mismatches, oracle_random_block_tuple
-from stabilize_oracle import STABILIZE_CASES, oracle_nccb_stabilize, stabilize_mismatches
+from stabilize_oracle import (
+    STABILIZE_CASES,
+    VERIFY_SEEDS,
+    oracle_nccb_stabilize,
+    stabilize_mismatches,
+    verify_mismatches,
+)
 
 
 def unit(i):
@@ -930,6 +935,20 @@ def walk_cases(draw):
     return P, k, L, coeffs, draw(st.sampled_from((0.05, 0.1, 0.3, 1.0)))
 
 
+def assert_the_search_certifies_P_exactly(coloring, oracle, P, k):
+    """For P and each prefix of P of k or more blocks, the search for a
+    coarsening as long as itself, by class walk alone, finds it exactly when
+    ``oracle`` gives its length-k coarsenings one color, and then in that
+    color."""
+    for j in range(k, len(P) + 1):
+        prefix = Blocking._trusted(P.blocks[:j])
+        expected = {oracle.of_blocking(F) for F in coarsenings(prefix, k)}
+        cert = milliken_taylor_search(walking(coloring), prefix, k, j)
+        assert cert.found == (len(expected) == 1)
+        if cert.found:
+            assert (cert.witness, {cert.color}) == (prefix, expected)
+
+
 def oracle_verify_stabilization(spec, result, net):
     P = result.blocking
     checked = set()
@@ -963,13 +982,12 @@ class TestClassTupleWalk:
     @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
     @settings(max_examples=30, deadline=None)
     @given(case=walk_cases())
-    def test_coarsening_colors_match_the_enumeration(self, name, case):
+    def test_the_search_for_P_itself_is_the_enumerated_verdict(self, name, case):
         P, k, _, coeffs, quantum = case
         spec = CLASS_SPACES[name]
         oracle = norm_quantization_coloring(spec, coeffs, quantum, 10)
-        expected = {oracle.of_blocking(F) for F in coarsenings(P, k)}
-        coloring = walking(norm_quantization_coloring(spec, coeffs, quantum, 10))
-        assert _coarsening_colors(coloring, P, k) == expected
+        coloring = norm_quantization_coloring(spec, coeffs, quantum, 10)
+        assert_the_search_certifies_P_exactly(coloring, oracle, P, k)
 
     @pytest.mark.parametrize("name", sorted(CLASS_SPACES))
     @settings(max_examples=30, deadline=None)
@@ -991,8 +1009,7 @@ class TestClassTupleWalk:
         P, k, L, _, _ = case
         args = argparse.Namespace(coloring="first-min-parity")
         coloring = cli._coloring_from_args(args, "blocking", 10, arity=k)
-        expected = {coloring.of_blocking(F) for F in coarsenings(P, k)}
-        assert _coarsening_colors(walking(coloring), P, k) == expected
+        assert_the_search_certifies_P_exactly(coloring, coloring, P, k)
         walked = milliken_taylor_search(walking(coloring), P, k, L)
         expected = milliken_taylor_search(enumerating(coloring), P, k, L)
         assert (walked.found, walked.witness, walked.color, walked.nodes_explored) == (
@@ -1130,6 +1147,27 @@ class TestStabilizationSharing:
         assert [memo is not None for memo in memos] == [memoized] * len(memos)
         assert shared < fresh if memoized else shared == fresh
 
+    def test_verify_cases_match_the_walk_verify(self):
+        verdicts = []
+        for spec in CLASS_SPACES.values():
+            for seed in VERIFY_SEEDS:
+                mismatches, got = verify_mismatches(spec, seed)
+                assert mismatches == []
+                verdicts += got
+        # finer quanta and unstabilized blockings fail in some spaces
+        assert False in verdicts and True in verdicts
+
+    def test_the_verify_walks_each_zero_pattern_once(self, monkeypatch):
+        spec, net = make_example_space(2.0, 3, [1.0, 1.5, 1.8]), ScalarNet.grid(0.5, 2)
+        result = nccb_stabilize(spec, 12, net, 0.1, 0.05)
+        calls = counted_class_steps(monkeypatch)
+        assert verify_stabilization(spec, result, net)
+        # one search per representative, all on P's one path: every step
+        # after a zero pattern's first walk is a memo hit
+        patterns = {tuple(c != 0.0 for c in t) for t in net.tuples}
+        assert len(calls) == len(patterns) * len(result.blocking)
+        assert len(patterns) < sum(len(net.representatives(n, True)) for n in net.lengths())
+
 
 # ---------------------------------------------------------------------------
 # Total colorings: a norm-quantization coloring refuses a ground set past a
@@ -1199,9 +1237,6 @@ class TestTotalColorings:
         assert milliken_taylor_search(coloring, Blocking.singletons(5), 2, 3).found
 
     def test_the_verify_refuses_a_P_past_the_ground_set(self):
-        coloring = norm_quantization_coloring(Lp(2.0), (1.0, 1.0), 0.1, 5)
-        with pytest.raises(ValueError, match="P reaches index 6"):
-            _coarsening_colors(coloring, Blocking.parse("1|2,3|6"), 2)
         result = StabilizationResult(
             blocking=Blocking.singletons(6), steps=(), complete=True, epsilon=0.1, quantum=0.1, ground=5
         )

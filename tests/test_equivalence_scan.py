@@ -1,6 +1,8 @@
 """The equivalence scan and the stabilization verify walk one representative
 per key of a coefficient net.  Both are pinned here against verbatim copies
-of the per-tuple loops they replaced, and their work is counted."""
+of the per-tuple loops they replaced, and their work is counted.  The
+per-tuple verify walks the coarsenings through the copy of its walk in
+``stabilize_oracle``, which ``src/`` no longer has."""
 
 import io
 import itertools
@@ -21,7 +23,7 @@ from banachkit.analysis import (
 )
 from banachkit.blockseq import CombinationNorm, combine
 from banachkit.cli import main
-from banachkit.combinatorics import Blocking, FiniteSet, _coarsening_colors
+from banachkit.combinatorics import Blocking, FiniteSet
 from banachkit.spaces import (
     C0,
     Interleave,
@@ -33,6 +35,8 @@ from banachkit.spaces import (
     make_example_space,
     norm,
 )
+
+from stabilize_oracle import walk_coarsening_colors
 
 SPACES = {
     "lp1": Lp(1.0),
@@ -130,7 +134,7 @@ def old_verify_stabilization(spec, result, net):
         coloring = analysis.norm_quantization_coloring(
             spec, coeffs, result.quantum, result.ground, cache=cache
         )
-        if len(_coarsening_colors(coloring, P, n)) > 1:
+        if len(walk_coarsening_colors(coloring, P, n)) > 1:
             return False
     return True
 

@@ -1,5 +1,6 @@
-"""Every name a banachkit module imports is used there or re-exported, and
-the package exports exactly the names its modules declare public.
+"""Every name a banachkit module imports is used there or re-exported, the
+package exports exactly the names its modules declare public, and no
+dataclass makes ``dataclass`` do work at import that the class discards.
 
 A name counts as used when it is read anywhere in the module, including
 inside a quoted annotation, or when the module lists it in ``__all__``.
@@ -10,6 +11,7 @@ own from the modules' lists.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -65,9 +67,22 @@ def used_names(tree: ast.AST) -> set[str]:
     return used
 
 
+def module_of(path: Path):
+    return importlib.import_module("banachkit" if path.stem == "__init__" else f"banachkit.{path.stem}")
+
+
 def exported_names(path: Path) -> set[str]:
-    name = "banachkit" if path.stem == "__init__" else f"banachkit.{path.stem}"
-    return set(getattr(importlib.import_module(name), "__all__", ()))
+    return set(getattr(module_of(path), "__all__", ()))
+
+
+def dataclass_defs(tree: ast.Module):
+    """Each class a ``dataclass`` decorator builds, with the decorator's options."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                if ast.unparse(call.func if call else decorator) == "dataclass":
+                    yield node, {kw.arg: ast.literal_eval(kw.value) for kw in (call.keywords if call else ())}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -93,3 +108,26 @@ def test_star_import_keeps_every_name_listed_by_hand():
     exec("from banachkit import *", namespace)
     assert len(LISTED_BY_HAND) == 72
     assert set(LISTED_BY_HAND) <= set(namespace)
+
+
+def test_dataclasses_have_docstrings_and_generate_no_method_their_body_defines():
+    # without a docstring, dataclass signs the class with inspect.signature
+    # at import; with init or repr on, it compiles a method and then keeps
+    # the class body's own
+    found = set()
+    for path in MODULES:
+        for node, options in dataclass_defs(ast.parse(path.read_text(encoding="utf-8"))):
+            found.add((module_of(path).__name__, node.name))
+            assert ast.get_docstring(node), f"{node.name} has no docstring"
+            own = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            for method, option in (("__init__", "init"), ("__repr__", "repr")):
+                assert method not in own or options.get(option) is False, (
+                    f"{node.name} defines {method}, so its decorator needs {option}=False"
+                )
+    built = {
+        (module.__name__, name)
+        for module in map(module_of, MODULES)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    }
+    assert found == built and len(found) == 33
